@@ -7,7 +7,6 @@ plane-wave spectral engine (exact in time) and a real-space propagator engine
 built from Bessel-function kernels on the lightcone interior.
 """
 
-from .backend import BACKEND_NAME
 from .bessel import BesselResult, j0, j0_result, j1, j1_over_x, j1_result
 from .density import (
     EntropyTrace,
@@ -42,7 +41,7 @@ from .grid import (
     norm,
     position_moments,
 )
-from .kernel_engine import evolve_step, evolve_to, kernel_smooth
+from .kernel_engine import BACKEND_NAME, evolve_step, evolve_to
 from .spectral import (
     EnergyEigenbasis,
     ModeDecomposition,

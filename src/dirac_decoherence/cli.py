@@ -30,7 +30,9 @@ from .experiments import (
     FigureDataset,
     InitialSpec,
     ScenarioConfig,
+    evolved,
     run_scenario,
+    uniform_times,
 )
 from .grid import Grid1D, build_initial, chirality_distributions
 
@@ -203,6 +205,9 @@ def _validate_config(cfg: CliConfig) -> None:
         t = np.asarray(cfg.times)
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
+    if cfg.subcommand == "entropy-curve" and not cfg.times:
+        # Raises if t_step does not divide the range entropy-curve samples.
+        uniform_times(cfg.t_start, cfg.t_end, cfg.t_step)
 
 
 def _initial_spec(cfg: CliConfig) -> InitialSpec:
@@ -211,13 +216,6 @@ def _initial_spec(cfg: CliConfig) -> InitialSpec:
         spinor=(cfg.spinor_a, cfg.spinor_b), mode_index=cfg.mode_index,
         energy_sign=cfg.energy_sign,
     )
-
-
-def _sample_times(cfg: CliConfig) -> tuple[float, ...]:
-    if cfg.times:
-        return cfg.times
-    n = max(int(round((cfg.t_end - cfg.t_start) / cfg.t_step)), 0)
-    return tuple(cfg.t_start + i * cfg.t_step for i in range(n + 1))
 
 
 def _fmt(value: float) -> str:
@@ -416,11 +414,7 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
         field = build_initial(initial, grid)
         t = cfg.times[-1] if cfg.times else cfg.t_end
         if t > 0:
-            if cfg.engine == "kernel":
-                n_steps = max(int(round(t / grid.dx)), 1)
-                field = kernel_engine.evolve_to(field, cfg.mass, n_steps * grid.dx, n_steps)
-            else:
-                field = spectral.evolve(field, cfg.mass, t)
+            field = evolved(field, cfg.mass, t, cfg.engine)
         pm, pp = chirality_distributions(field)
         dataset = FigureDataset(
             figure_id=cfg.subcommand, abscissa_label="x", abscissa=grid.x,
@@ -434,8 +428,8 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
 
     # entropy-curve
     scenario = ScenarioConfig(
-        mass=cfg.mass, initial=initial, grid=grid, times=_sample_times(cfg),
-        engine=cfg.engine,
+        mass=cfg.mass, initial=initial, grid=grid,
+        times=cfg.times or uniform_times(cfg.t_start, cfg.t_end, cfg.t_step), engine=cfg.engine,
     )
     trace = run_scenario(scenario).trace
     if cfg.format == "svg":

@@ -38,7 +38,7 @@ class ScenarioConfig:
             raise ValueError("times must be nonempty")
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
-        unknown = set(self.outputs) - {"entropy_trace", "distributions", "rdm_entries"}
+        unknown = set(self.outputs) - {"entropy_trace", "distributions"}
         if unknown:
             raise ValueError(f"unknown outputs requested: {sorted(unknown)}")
 
@@ -70,28 +70,11 @@ class FigureDataset:
             raise ValueError("series labels must be unique")
 
 
-def _evolved(field: SpinorField, m: float, t: float, engine: str) -> SpinorField:
+def evolved(field: SpinorField, m: float, t: float, engine: str) -> SpinorField:
+    """The field at time t by the chosen engine (t = 0 always by the spectral one)."""
     if engine == "spectral" or t == 0.0:
         return spectral.evolve(field, m, t)
-    # Kernel route: t must be commensurate with dx; walk there in sub-steps of
-    # ~0.1 (grid-snapped).  The truncated-cone quadrature is not exactly
-    # unitary, so renormalize before tracing.
-    dx = field.grid.dx
-    total_cells = int(round(t / dx))
-    if abs(t - total_cells * dx) > 1e-9:
-        raise ValueError(
-            f"kernel engine needs sample times commensurate with dx = {dx}; "
-            f"t = {t} is not (nearest commensurate value {total_cells * dx})"
-        )
-    per_step = max(int(round(0.1 / dx)), 1)
-    out = field
-    remaining = total_cells
-    while remaining > 0:
-        cells = min(per_step, remaining)
-        out = kernel_engine.evolve_step(out, m, cells * dx)
-        remaining -= cells
-    total = np.sum(np.abs(out.values) ** 2) * out.grid.dx
-    return SpinorField(out.grid, out.values / np.sqrt(total))
+    return kernel_engine.evolve_to(field, m, t)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -104,7 +87,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rho01 = np.empty(len(times), dtype=np.complex128)
     dists: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for i, t in enumerate(times):
-        ft = _evolved(field0, cfg.mass, float(t), cfg.engine)
+        ft = evolved(field0, cfg.mass, float(t), cfg.engine)
         rho = density.reduce(ft)
         entropy[i] = density.entropy_bits(rho)
         rho00[i] = rho.entries[0, 0].real
@@ -120,22 +103,31 @@ def _equal_superposition(mass: float) -> InitialSpec:
     return InitialSpec(kind="gaussian_packet", mass=mass, center=0.0, width=1.0, spinor=(1.0, 1.0))
 
 
-def _uniform_times(t_end: float, step: float = DEFAULT_TRACE_STEP) -> tuple[float, ...]:
-    n = int(round(t_end / step))
-    return tuple(np.linspace(0.0, t_end, n + 1))
+def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...]:
+    """Samples t_start + i*step up to t_end; step must divide the range."""
+    if step <= 0:
+        raise ValueError(f"t_step must be positive, got {step}")
+    ratio = (t_end - t_start) / step
+    n = int(round(ratio))
+    if abs(ratio - n) > 1e-9 or n < 0:
+        raise ValueError(
+            f"t_step = {step} does not divide [{t_start}, {t_end}] "
+            f"into whole steps ({ratio:.6g} steps)"
+        )
+    return tuple(t_start + i * step for i in range(n + 1))
 
 
 def entropy_curve(mass: float, initial: InitialSpec, t_end: float,
                   step: float = DEFAULT_TRACE_STEP, grid: Grid1D = DEFAULT_GRID,
                   engine: str = "spectral") -> density.EntropyTrace:
     cfg = ScenarioConfig(mass=mass, initial=initial, grid=grid,
-                         times=_uniform_times(t_end, step), engine=engine)
+                         times=uniform_times(0.0, t_end, step), engine=engine)
     return run_scenario(cfg).trace
 
 
 def figure1(masses: tuple[float, ...] = (0.0, 1.0, 2.0)) -> FigureDataset:
     """Entropy vs time on [0, 1] for the equal-chirality Gaussian, one curve per mass."""
-    times = _uniform_times(1.0)
+    times = uniform_times(0.0, 1.0, DEFAULT_TRACE_STEP)
     series = {}
     for m in masses:
         trace = entropy_curve(m, _equal_superposition(m), 1.0)

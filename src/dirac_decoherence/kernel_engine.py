@@ -9,9 +9,12 @@ the cone interior:
 
 with tau = sqrt(dt^2 - dx^2).  Requiring dt to be an integer multiple of the
 grid spacing makes the delta term an exact cyclic shift; the smooth part is a
-trapezoidal sum over the cone, carrying O(dx^2) quadrature error per step.
-This engine therefore serves as the independent validator of the spectral
-engine, which is exact in time.
+trapezoidal sum over the cone, so each step carries an O(dx^2) quadrature
+error.  The propagator is exact in time, so that error depends on dx and not
+on how a time is split into steps.  The quadrature is not exactly unitary
+(at dx = 0.04 the norm is off by 5e-6 to 9e-5 at t = 1 for m from 0.5 to
+2), so evolve_to renormalizes the field it returns.  This engine serves as
+the independent validator of the spectral engine, which is exact in time.
 """
 
 from __future__ import annotations
@@ -19,33 +22,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import bessel
-from .backend import cone_correlate
-from .grid import SpinorField
+from .grid import SpinorField, norm
+
+# The correlation below is the only implementation; the name is kept for
+# callers that report which one ran.
+BACKEND_NAME = "numpy"
+
+# evolve_to walks in steps of about this much time, snapped to whole cells.
+WALK_STEP = 0.1
 
 
-def invariant_interval(dt: float, dx_sep: float) -> float:
-    """tau = sqrt(dt^2 - dx^2), defined on and inside the lightcone."""
-    if abs(dx_sep) > dt:
-        raise ValueError(f"(dt={dt}, dx={dx_sep}) lies outside the lightcone")
-    return float(np.sqrt(max(dt * dt - dx_sep * dx_sep, 0.0)))
-
-
-def kernel_smooth(alpha2: int, alpha1: int, dx_sep: float, dt: float, m: float) -> complex:
-    """Non-delta part of the propagator at separation (dt, dx_sep).
-
-    The equal-chirality entry is written with J1(x)/x so the lightcone edge
-    tau = 0 takes its finite analytic value.
-    """
-    if alpha1 not in (-1, 1) or alpha2 not in (-1, 1):
-        raise ValueError("chirality signs must be +1 or -1")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    tau = invariant_interval(dt, dx_sep)
-    if m == 0:
-        return 0.0 + 0.0j
-    if alpha2 == alpha1:
-        return complex(-(dt + alpha1 * dx_sep) * (m * m / 2.0) * bessel.j1_over_x(m * tau))
-    return 1j * (m / 2.0) * bessel.j0(m * tau)
+def cone_correlate(psi: np.ndarray, taps: np.ndarray, half_width: int) -> np.ndarray:
+    """out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in [-j, j]."""
+    out = np.zeros_like(psi)
+    for d in range(-half_width, half_width + 1):
+        out += taps[d + half_width] * np.roll(psi, d)
+    return out
 
 
 def _step_count(dt: float, dx: float) -> int:
@@ -60,7 +52,11 @@ def _step_count(dt: float, dx: float) -> int:
 
 
 def _smooth_taps(j: int, dt: float, dx: float, m: float):
-    """Trapezoid-weighted kernel taps over offsets d in [-j, j], times dx."""
+    """Trapezoid-weighted kernel taps over offsets d in [-j, j], times dx.
+
+    The equal-chirality taps are written with J1(x)/x so the lightcone edge
+    tau = 0 takes its finite analytic value.
+    """
     d = np.arange(-j, j + 1)
     sep = d * dx
     tau = dx * np.sqrt(np.maximum(j * j - d * d, 0).astype(np.float64))
@@ -101,13 +97,21 @@ def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
     return SpinorField(grid, np.stack([out_minus, out_plus]))
 
 
-def evolve_to(field: SpinorField, m: float, t: float, n_steps: int) -> SpinorField:
-    """Compose n_steps equal propagator steps reaching time t."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    dt = t / n_steps
-    _step_count(dt, field.grid.dx)  # fail fast with the commensurability message
+def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
+    """Evolve to time t in steps of about WALK_STEP, then renormalize.
+
+    t must be a nonnegative integer multiple of the grid spacing.  The walk
+    takes whole steps of round(WALK_STEP / dx) cells, the remainder last; a
+    time of zero cells returns the field unchanged.
+    """
+    dx = field.grid.dx
+    remaining = _step_count(t, dx)
+    if remaining == 0:
+        return field
+    per_step = max(int(round(WALK_STEP / dx)), 1)
     out = field
-    for _ in range(n_steps):
-        out = evolve_step(out, m, dt)
-    return out
+    while remaining > 0:
+        cells = min(per_step, remaining)
+        out = evolve_step(out, m, cells * dx)
+        remaining -= cells
+    return SpinorField(out.grid, out.values / np.sqrt(norm(out)))

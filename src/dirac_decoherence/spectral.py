@@ -56,10 +56,10 @@ class EnergyEigenbasis:
     """
 
     k: np.ndarray = dc_field(repr=False)
-    m: float = 0.0
-    omega: np.ndarray = dc_field(repr=False, default=None)
-    u_plus: np.ndarray = dc_field(repr=False, default=None)
-    u_minus: np.ndarray = dc_field(repr=False, default=None)
+    m: float
+    omega: np.ndarray = dc_field(repr=False)
+    u_plus: np.ndarray = dc_field(repr=False)
+    u_minus: np.ndarray = dc_field(repr=False)
 
 
 def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> EnergyEigenbasis:
@@ -68,9 +68,10 @@ def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPL
     Closed form: for eigenvalue eps*omega the two candidate eigenvectors are
     (s*m, k + eps*omega) and (k - eps*omega, -s*m); whichever has the larger
     norm is well conditioned, including the massless limit where one of them
-    vanishes identically.
+    vanishes identically.  The returned arrays are read-only, since
+    eigenbasis shares them between callers; k is copied first.
     """
-    k = np.asarray(k, dtype=np.float64)
+    k = np.array(k, dtype=np.float64)
     omega = dispersion(k, m)
     sm = coupling_sign * m
 
@@ -95,7 +96,10 @@ def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPL
         v = v * np.where(lead < 0, -1.0, 1.0)
         return v.astype(np.complex128)
 
-    return EnergyEigenbasis(k=k, m=float(m), omega=omega, u_plus=vec(+1), u_minus=vec(-1))
+    arrays = {"k": k, "omega": omega, "u_plus": vec(+1), "u_minus": vec(-1)}
+    for a in arrays.values():
+        a.flags.writeable = False
+    return EnergyEigenbasis(m=float(m), **arrays)
 
 
 @lru_cache(maxsize=32)
@@ -114,9 +118,9 @@ class ModeDecomposition:
 
     grid: Grid1D
     m: float
-    amp_plus: np.ndarray = dc_field(repr=False, default=None)
-    amp_minus: np.ndarray = dc_field(repr=False, default=None)
-    basis: EnergyEigenbasis = dc_field(repr=False, default=None)
+    amp_plus: np.ndarray = dc_field(repr=False)
+    amp_minus: np.ndarray = dc_field(repr=False)
+    basis: EnergyEigenbasis = dc_field(repr=False)
 
 
 def _mode_vectors(field: SpinorField) -> np.ndarray:

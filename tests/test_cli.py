@@ -202,6 +202,22 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert out.exists()
 
 
+def test_step_not_dividing_range_exit_code(tmp_path, capsys):
+    status = main(["entropy-curve", "--t-end", "1", "--t-step", "0.3",
+                   "--output", str(tmp_path / "x.csv")])
+    assert status == 1
+    assert "t_step = 0.3 does not divide [0.0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_kernel_evolve_rejects_non_commensurate_time(tmp_path, capsys):
+    # t / dx = 25.6 at the default grid (dx = 0.0390625): 26 cells is nearest.
+    status = main(["evolve", "--engine", "kernel", "--t-end", "1",
+                   "--output", str(tmp_path / "x.csv")])
+    assert status != 0
+    assert "nearest commensurate value is 1.015625" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_code(capsys):
     status = main(["entropy-curve", "--t-end", "0.1", "--t-step", "0.1",
                    "--output", "/nonexistent-dir/x.csv"])

@@ -29,10 +29,10 @@ def test_scenario_config_validation():
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 0.0))
     with pytest.raises(ValueError):
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 1.0), engine="magic")
-    with pytest.raises(ValueError):
-        ScenarioConfig(
-            mass=1.0, initial=equal_superposition(1.0), times=(0.0,), outputs=frozenset({"bogus"})
-        )
+    for output in ("bogus", "rdm_entries"):
+        with pytest.raises(ValueError, match="unknown outputs"):
+            ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0,),
+                           outputs=frozenset({output}))
 
 
 def test_massless_scenario_matches_closed_form():
@@ -72,6 +72,19 @@ def test_kernel_engine_rejects_non_commensurate_times():
     )
     with pytest.raises(ValueError, match="commensurate"):
         run_scenario(cfg)
+
+
+def test_time_grid_rule():
+    # t_start + i*step, so 0.3 / 0.1 gives 0.1 + 0.1 + 0.1 rather than 0.3.
+    assert experiments.uniform_times(0.0, 0.3, 0.1) == (0.0, 0.1, 0.2, 0.1 * 3)
+    assert experiments.uniform_times(0.5, 0.5, 0.1) == (0.5,)
+    with pytest.raises(ValueError, match="positive"):
+        experiments.uniform_times(0.0, 1.0, 0.0)
+
+
+def test_entropy_curve_rejects_step_not_dividing_range():
+    with pytest.raises(ValueError, match="does not divide"):
+        entropy_curve(1.0, equal_superposition(1.0), t_end=1.0, step=0.3)
 
 
 def test_figure1_features():

@@ -9,35 +9,40 @@ def rel_l2(a, b):
     return np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
 
 
-def test_kernel_smooth_vanishes_massless():
-    for dx_sep in (-0.05, 0.0, 0.1):
-        assert kernel_engine.kernel_smooth(1, 1, dx_sep, 0.1, 0.0) == 0.0
-        assert kernel_engine.kernel_smooth(1, -1, dx_sep, 0.1, 0.0) == 0.0
+def compose(field, m, t, n_steps):
+    """n_steps equal propagator steps reaching time t, without renormalizing."""
+    for _ in range(n_steps):
+        field = kernel_engine.evolve_step(field, m, t / n_steps)
+    return field
 
 
-def test_kernel_smooth_cross_small_time_limit():
-    val = kernel_engine.kernel_smooth(1, -1, 0.0, 1e-9, 1.0)
-    assert val == pytest.approx(0.5j, abs=1e-12)
+def test_smooth_taps_vanish_massless():
+    same, cross = kernel_engine._smooth_taps(4, 0.1, 0.025, 0.0)
+    for taps in (same[-1], same[1], cross):
+        assert np.abs(taps).max() == 0.0
 
 
-def test_kernel_smooth_backward_edge_zero():
-    dt = 0.2
-    assert kernel_engine.kernel_smooth(1, 1, -dt, dt, 1.0) == 0.0
-    assert kernel_engine.kernel_smooth(-1, -1, dt, dt, 1.0) == 0.0
+def test_smooth_taps_cross_small_time_limit():
+    # One cell of width dx = 1e-9: the centre cross tap, divided by dx, is i m / 2.
+    dx = 1e-9
+    _, cross = kernel_engine._smooth_taps(1, dx, dx, 1.0)
+    assert cross[1] / dx == pytest.approx(0.5j, abs=1e-12)
 
 
-def test_kernel_smooth_component_structure():
-    # Equal-chirality entries real, cross entries purely imaginary.
-    for dx_sep in (-0.1, 0.0, 0.15):
-        same = kernel_engine.kernel_smooth(1, 1, dx_sep, 0.2, 1.5)
-        cross = kernel_engine.kernel_smooth(-1, 1, dx_sep, 0.2, 1.5)
-        assert same.imag == 0.0
-        assert cross.real == 0.0
+def test_smooth_taps_backward_edge_zero():
+    # Chirality alpha has no smooth weight at separation -alpha*dt.
+    j, dx = 8, 0.025
+    same, _ = kernel_engine._smooth_taps(j, j * dx, dx, 1.0)
+    assert same[1][0] == 0.0
+    assert same[-1][-1] == 0.0
 
 
-def test_kernel_smooth_outside_lightcone_rejected():
-    with pytest.raises(ValueError):
-        kernel_engine.kernel_smooth(1, 1, 0.3, 0.2, 1.0)
+def test_smooth_taps_component_structure():
+    # Equal-chirality taps real, cross taps purely imaginary.
+    same, cross = kernel_engine._smooth_taps(8, 0.2, 0.025, 1.5)
+    for alpha in (-1, 1):
+        assert np.isrealobj(same[alpha])
+    assert np.abs(cross.real).max() == 0.0
 
 
 def test_massless_step_is_pure_translation(equal_packet):
@@ -90,10 +95,37 @@ def test_norm_drift_bounded(equal_packet):
 
 
 def test_evolve_to_single_step_matches(equal_packet):
+    # Two cells is shorter than one walk step, so evolve_to takes one step.
     dt = 2 * equal_packet.grid.dx
-    a = kernel_engine.evolve_to(equal_packet, 1.0, dt, 1)
+    a = kernel_engine.evolve_to(equal_packet, 1.0, dt)
     b = kernel_engine.evolve_step(equal_packet, 1.0, dt)
-    assert np.abs(a.values - b.values).max() == 0.0
+    assert np.abs(a.values - b.values / np.sqrt(norm(b))).max() == 0.0
+
+
+def test_evolve_to_walk_steps(equal_packet, monkeypatch):
+    # 10 cells of dx = 0.039 walk as 3 + 3 + 3 + 1, and the result is renormalized.
+    dx = equal_packet.grid.dx
+    cells = []
+    step = kernel_engine.evolve_step
+
+    def recording_step(field, m, dt):
+        cells.append(round(dt / dx))
+        return step(field, m, dt)
+
+    monkeypatch.setattr(kernel_engine, "evolve_step", recording_step)
+    out = kernel_engine.evolve_to(equal_packet, 1.0, 10 * dx)
+    assert cells == [3, 3, 3, 1]
+    assert abs(norm(out) - 1.0) < 1e-14
+
+
+def test_evolve_to_zero_returns_field(equal_packet):
+    assert kernel_engine.evolve_to(equal_packet, 1.0, 0.0) is equal_packet
+
+
+def test_evolve_to_rejects_non_commensurate_time(equal_packet):
+    dx = equal_packet.grid.dx
+    with pytest.raises(ValueError, match=f"nearest commensurate value is {3 * dx}"):
+        kernel_engine.evolve_to(equal_packet, 1.0, 2.6 * dx)
 
 
 def test_evolve_to_error_independent_of_step_count():
@@ -104,7 +136,7 @@ def test_evolve_to_error_independent_of_step_count():
     g = Grid1D(12.8, 1024)
     f = make_gaussian_packet(g, 0.0, 1.0, (1.0, 1.0))
     exact = spectral.evolve(f, 1.0, 1.0)
-    errors = [rel_l2(kernel_engine.evolve_to(f, 1.0, 1.0, n), exact) for n in (5, 10, 20)]
+    errors = [rel_l2(compose(f, 1.0, 1.0, n), exact) for n in (5, 10, 20)]
     assert max(errors) < 1e-4
     assert max(errors) / min(errors) < 1.2
 
@@ -117,14 +149,14 @@ def test_evolve_to_converges_under_grid_refinement():
         g = Grid1D(12.8, n_points)
         f = make_gaussian_packet(g, 0.0, 1.0, (1.0, 1.0))
         exact = spectral.evolve(f, 1.0, 1.0)
-        errors.append(rel_l2(kernel_engine.evolve_to(f, 1.0, 1.0, 10), exact))
+        errors.append(rel_l2(compose(f, 1.0, 1.0, 10), exact))
     assert errors[1] < errors[0] / 3.0
 
 
 def test_massless_composition_exact(equal_packet):
     dx = equal_packet.grid.dx
-    direct = kernel_engine.evolve_to(equal_packet, 0.0, 12 * dx, 1)
-    split = kernel_engine.evolve_to(equal_packet, 0.0, 12 * dx, 4)
+    direct = compose(equal_packet, 0.0, 12 * dx, 1)
+    split = compose(equal_packet, 0.0, 12 * dx, 4)
     assert np.abs(direct.values - split.values).max() == 0.0
 
 
@@ -141,7 +173,3 @@ def test_lightcone_causality(grid):
     outside = np.abs(grid.x) > 1.0 + dt + grid.dx / 2
     assert np.abs(out.values[:, outside]).max() < 1e-14
 
-
-def test_bad_n_steps(equal_packet):
-    with pytest.raises(ValueError):
-        kernel_engine.evolve_to(equal_packet, 1.0, 0.1, 0)

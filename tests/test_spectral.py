@@ -57,6 +57,18 @@ def test_eigenbasis_orthonormal_and_eigen(grid):
             assert np.abs(resid).max() < 1e-12
 
 
+def test_cached_eigenbasis_is_read_only(grid):
+    basis = spectral.eigenbasis(grid, 1.0)
+    for name in ("k", "omega", "u_plus", "u_minus"):
+        with pytest.raises(ValueError):
+            getattr(basis, name)[0] = 0.0
+    k = np.linspace(-1.0, 1.0, 5)
+    spectral.eigenbasis_arrays(k, 1.0)
+    assert k.flags.writeable  # the basis froze a copy, not the caller's array
+    u = spectral.eigenspinor(0.3, 1, 1.0)
+    u[0] = 0.0
+
+
 def test_phase_convention_deterministic(grid):
     basis = spectral.eigenbasis(grid, 1.3)
     for u in (basis.u_plus, basis.u_minus):
