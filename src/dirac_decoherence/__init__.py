@@ -7,7 +7,7 @@ plane-wave spectral engine (exact in time) and a real-space propagator engine
 built from Bessel-function kernels on the lightcone interior.
 """
 
-from .bessel import BesselResult, j0, j0_result, j1, j1_over_x, j1_result
+from .bessel import j0, j1, j1_over_x
 from .density import (
     EntropyTrace,
     ReducedDensityMatrix,

@@ -5,7 +5,7 @@ Subcommands:
 * evolve        evolve one initial condition to --t-end, write distributions
 * entropy-curve entropy trace over a time range
 * distributions chirality position distributions at --t-end
-* figure        regenerate a figure dataset by id (fig1..fig6)
+* figure        regenerate a figure dataset by id (fig1..fig6) and its insets
 * validate      fast self-checks (closed-form law, stationarity, engine cross-check)
 
 Options may come from a `key = value` config file (# comments allowed) via
@@ -26,6 +26,7 @@ import numpy as np
 from . import density, kernel_engine, spectral
 from .experiments import (
     FIGURES,
+    DEFAULT_GRID,
     DEFAULT_TRACE_STEP,
     FigureDataset,
     InitialSpec,
@@ -205,6 +206,12 @@ def _validate_config(cfg: CliConfig) -> None:
         t = np.asarray(cfg.times)
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
+    fig = DEFAULT_GRID
+    if cfg.subcommand == "figure" and (cfg.grid_l, cfg.grid_n) != (fig.half_extent, fig.n_points):
+        raise ValueError(
+            f"figure datasets are defined on the grid L = {fig.half_extent:g}, N = {fig.n_points}; "
+            f"got grid_l = {cfg.grid_l:g}, grid_n = {cfg.grid_n}"
+        )
     if cfg.subcommand == "entropy-curve" and not cfg.times:
         # Raises if t_step does not divide the range entropy-curve samples.
         uniform_times(cfg.t_start, cfg.t_end, cfg.t_step)
@@ -391,6 +398,13 @@ def validate(flip_mass_sign: bool = False, stream=None) -> int:
     return status
 
 
+def _write(cfg: CliConfig, dataset, path: str, title: str | None = None) -> None:
+    if cfg.format == "svg":
+        write_svg_plot(dataset, path, title=title)
+    else:
+        write_csv(dataset, path)
+
+
 def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
     if cfg.subcommand == "validate":
         return validate(flip_mass_sign=getattr(ns, "flip_mass_sign", False))
@@ -399,13 +413,11 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
 
     if cfg.subcommand == "figure":
         dataset = FIGURES[cfg.figure_id]()
-        if cfg.format == "svg":
-            write_svg_plot(dataset, cfg.output, title=dataset.figure_id)
-        else:
-            write_csv(dataset, cfg.output)
-            directory = os.path.dirname(cfg.output)
-            for inset in dataset.insets:
-                write_csv(inset, os.path.join(directory, f"{inset.figure_id}.csv"))
+        _write(cfg, dataset, cfg.output, title=dataset.figure_id)
+        directory = os.path.dirname(cfg.output)
+        for inset in dataset.insets:
+            path = os.path.join(directory, f"{inset.figure_id}.{cfg.format}")
+            _write(cfg, inset, path, title=inset.figure_id)
         return 0
 
     initial = _initial_spec(cfg)
@@ -420,10 +432,7 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
             figure_id=cfg.subcommand, abscissa_label="x", abscissa=grid.x,
             series={"prob_minus": pm, "prob_plus": pp}, metadata={"t": t},
         )
-        if cfg.format == "svg":
-            write_svg_plot(dataset, cfg.output)
-        else:
-            write_csv(dataset, cfg.output)
+        _write(cfg, dataset, cfg.output)
         return 0
 
     # entropy-curve
@@ -431,11 +440,7 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
         mass=cfg.mass, initial=initial, grid=grid,
         times=cfg.times or uniform_times(cfg.t_start, cfg.t_end, cfg.t_step), engine=cfg.engine,
     )
-    trace = run_scenario(scenario).trace
-    if cfg.format == "svg":
-        write_svg_plot(trace, cfg.output)
-    else:
-        write_csv(trace, cfg.output)
+    _write(cfg, run_scenario(scenario).trace, cfg.output)
     return 0
 
 

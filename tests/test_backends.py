@@ -20,7 +20,11 @@ def test_backend_name_is_valid():
     assert BACKEND_NAME == "numpy"
 
 
-@pytest.mark.parametrize("n,width", [(64, 1), (128, 7), (1024, 20), (1000, 13)])
+# (512, 64) sits at the j = N/8 limit evolve_step can reach; (1000, 125) there
+# with N not a power of two.
+@pytest.mark.parametrize(
+    "n,width", [(64, 1), (128, 7), (1024, 20), (1000, 13), (512, 64), (1000, 125)]
+)
 def test_backends_agree(n, width):
     rng = np.random.default_rng(n + width)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -47,3 +51,19 @@ def test_zero_width_scales():
     psi = np.arange(8, dtype=complex)
     out = kernel_engine.cone_correlate(psi, np.array([2.0 + 0j]), 0)
     assert np.abs(out - 2.0 * psi).max() == 0.0
+
+
+def test_negative_width_rejected():
+    with pytest.raises(ValueError, match="half_width = -1"):
+        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(1, dtype=complex), -1)
+
+
+def test_tap_count_mismatch_rejected():
+    with pytest.raises(ValueError, match="4 taps"):
+        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(4, dtype=complex), 1)
+
+
+def test_taps_wider_than_grid_rejected():
+    # 9 taps cannot fit in 8 cells without two landing on the same offset.
+    with pytest.raises(ValueError, match="len\\(psi\\) = 8"):
+        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(9, dtype=complex), 4)

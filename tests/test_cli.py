@@ -137,6 +137,34 @@ def test_figure_svg_output(tmp_path):
         assert label in text
 
 
+def test_figure_svg_writes_insets(tmp_path):
+    out = tmp_path / "fig4.svg"
+    status = main(["figure", "--id", "fig4", "--output", str(out), "--format", "svg"])
+    assert status == 0
+    for t in ("0.5", "1", "1.5", "2"):
+        text = (tmp_path / f"fig4_inset_t{t}.svg").read_text()
+        assert text.startswith("<?xml")
+        assert f"fig4_inset_t{t}</text>" in text
+        assert "prob_minus" in text and "prob_plus" in text
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("grid_l", "10"), ("grid_n", "2048")])
+def test_figure_rejects_other_grid(tmp_path, capsys, source, key, value):
+    out = tmp_path / "fig1.csv"
+    if source == "flag":
+        extra = [f"--{key.replace('_', '-')}", value]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        extra = ["--config", str(path)]
+    status = main(["figure", "--id", "fig1", "--output", str(out), *extra])
+    assert status == 1
+    assert "figure datasets are defined on the grid L = 20, N = 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure2_svg_has_two_series(tmp_path):
     out = tmp_path / "fig2.svg"
     main(["figure", "--id", "fig2", "--output", str(out), "--format", "svg"])

@@ -153,6 +153,21 @@ def test_evolve_to_converges_under_grid_refinement():
     assert errors[1] < errors[0] / 3.0
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_evolve_to_converges_at_large_grids(m):
+    # Past desk scale, t = 0.5 walked in steps of up to 164 cells: the error
+    # against the spectral engine is small and falls by about the O(dx^2)
+    # factor of 16 when dx shrinks fourfold.
+    errors = []
+    for n_points in (16384, 65536):
+        g = Grid1D(20.0, n_points)
+        f = make_gaussian_packet(g, 0.0, 1.0, (1.0, 1.0))
+        t = round(0.5 / g.dx) * g.dx
+        errors.append(rel_l2(kernel_engine.evolve_to(f, m, t), spectral.evolve(f, m, t)))
+    assert errors[0] < 1e-5
+    assert errors[1] < errors[0] / 10.0
+
+
 def test_massless_composition_exact(equal_packet):
     dx = equal_packet.grid.dx
     direct = compose(equal_packet, 0.0, 12 * dx, 1)
