@@ -3,15 +3,19 @@
 Subcommands:
 
 * evolve        evolve one initial condition to --t-end, write distributions
-* entropy-curve entropy trace over a time range
+* entropy-curve entropy trace over a time range or at --times
 * distributions chirality position distributions at --t-end
 * figure        regenerate a figure dataset by id (fig1..fig6) and its insets
 * validate      fast self-checks (closed-form law, stationarity, engine cross-check)
 
-Options may come from a `key = value` config file (# comments allowed) via
---config; explicit flags override file values.  --dump-config prints the
-effective configuration in the same format.  Exit codes: 0 success, 1 parse or
-validation failure, 2 runtime failure.
+Each option is one field of `CliConfig`, which gives its flag, config-file
+key, help and value check.  `SUBCOMMAND_OPTIONS` names the options each
+subcommand uses; it rejects any other flag or key.  Options may come from a
+`key = value` config file (# comments allowed) via --config; explicit flags
+override file values.  --dump-config prints the effective configuration in
+the same format.  Exit codes: 0 success; 1 parse or validation failure, which
+includes any value the grid, initial-state or sample-time constructors reject,
+before any evolution; 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,43 +35,13 @@ from .experiments import (
     FigureDataset,
     InitialSpec,
     ScenarioConfig,
-    evolved,
+    distribution_dataset,
     run_scenario,
     uniform_times,
 )
-from .grid import Grid1D, build_initial, chirality_distributions
+from .grid import Grid1D, build_initial, make_gaussian_packet, make_plane_wave
 
-SUBCOMMANDS = ("evolve", "entropy-curve", "distributions", "figure", "validate")
 ENTROPY_HEADER = ["t", "S_bits", "rho00", "rho01_re", "rho01_im", "rho11"]
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str = "entropy-curve"
-    mass: float = 1.0
-    kind: str = "gaussian_packet"
-    spinor_a: complex = 1.0 + 0.0j
-    spinor_b: complex = 1.0 + 0.0j
-    center: float = 0.0
-    width: float = 1.0
-    mode_index: int = 0
-    energy_sign: int = 1
-    grid_l: float = 20.0
-    grid_n: int = 1024
-    t_start: float = 0.0
-    t_end: float = 2.0
-    t_step: float = DEFAULT_TRACE_STEP
-    times: tuple[float, ...] | None = None
-    engine: str = "spectral"
-    figure_id: str = "fig1"
-    output: str = "out.csv"
-    format: str = "csv"
-
-
-_COMPLEX_KEYS = {"spinor_a", "spinor_b"}
-_INT_KEYS = {"mode_index", "energy_sign", "grid_n"}
-_FLOAT_KEYS = {"mass", "center", "width", "grid_l", "t_start", "t_end", "t_step"}
-_STR_KEYS = {"subcommand", "kind", "engine", "figure_id", "output", "format"}
 
 
 def _parse_complex(text: str) -> complex:
@@ -77,17 +51,85 @@ def _parse_complex(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:g},{z.imag:g}"
-
-
 def _parse_times(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def read_config_file(path: str) -> dict:
-    """Line-oriented `key = value` pairs; # starts a comment; unknown keys rejected."""
-    known = {f.name for f in fields(CliConfig)}
+def _format(value) -> str:
+    """Text that parses back to exactly `value`: floats by repr, complex as 're,im'."""
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+
+
+def _option(default, help: str, parse=float, choices: tuple = (), flag: str | None = None,
+            metavar: str | None = None):
+    """A field that is an option: flag `--key-name` (or `flag`), config key `key_name`."""
+    if choices:
+        metavar = "{" + ",".join(map(str, choices)) + "}"
+    return field(default=default, metadata={
+        "help": help, "parse": parse, "choices": choices, "flag": flag, "metavar": metavar,
+    })
+
+
+@dataclass(frozen=True)
+class CliConfig:
+    subcommand: str = "entropy-curve"
+    mass: float = _option(1.0, "particle mass")
+    kind: str = _option("gaussian_packet", "initial condition kind", str,
+                        ("gaussian_packet", "plane_wave", "positive_energy_packet"))
+    spinor_a: complex = _option(1.0 + 0.0j, "chirality -1 spinor component", _parse_complex,
+                                metavar="RE,IM")
+    spinor_b: complex = _option(1.0 + 0.0j, "chirality +1 spinor component", _parse_complex,
+                                metavar="RE,IM")
+    center: float = _option(0.0, "packet center")
+    width: float = _option(1.0, "packet width sigma")
+    mode_index: int = _option(0, "plane-wave momentum index", int)
+    energy_sign: int = _option(1, "plane-wave energy sign", int, (-1, 1))
+    grid_l: float = _option(20.0, "half extent L of the periodic domain")
+    grid_n: int = _option(1024, "number of grid points (even)", int)
+    t_start: float = _option(0.0, "first sample time")
+    t_end: float = _option(2.0, "last sample time")
+    t_step: float = _option(DEFAULT_TRACE_STEP, "sample spacing")
+    times: tuple[float, ...] | None = _option(None, "explicit sample times (overrides the range)",
+                                              _parse_times, metavar="T1,T2,...")
+    engine: str = _option("spectral", "evolution engine", str, ("spectral", "kernel"))
+    figure_id: str = _option("fig1", "figure dataset to generate", str, tuple(sorted(FIGURES)),
+                             flag="--id")
+    output: str = _option("out.csv", "output file path", str)
+    format: str = _option("csv", "output format", str, ("csv", "svg"))
+
+
+_OPTIONS = {f.name: f for f in fields(CliConfig) if f.metadata}
+# The initial state and its grid, then the outputs: in field order, as help and dumps list them.
+_STATE = ("mass", "kind", "spinor_a", "spinor_b", "center", "width", "mode_index", "energy_sign",
+          "grid_l", "grid_n")
+_OUTPUT = ("output", "format")
+SUBCOMMAND_OPTIONS = {
+    "evolve": _STATE + ("t_end", "engine") + _OUTPUT,
+    "entropy-curve": _STATE + ("t_start", "t_end", "t_step", "times", "engine") + _OUTPUT,
+    "distributions": _STATE + ("t_end", "engine") + _OUTPUT,
+    "figure": ("grid_l", "grid_n", "figure_id") + _OUTPUT,
+    "validate": (),
+}
+
+
+def _convert(subcommand: str, key: str, text: str):
+    """The value of option `key` given as text, checked as flags and config files both need."""
+    if key not in SUBCOMMAND_OPTIONS[subcommand]:
+        raise ValueError(f"{subcommand} takes no option {key!r}")
+    meta = _OPTIONS[key].metadata
+    try:
+        value = meta["parse"](text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
+    if meta["choices"] and value not in meta["choices"]:
+        raise ValueError(f"bad value for {key!r}: {text!r} is not one of {meta['metavar']}")
+    return value
+
+
+def read_config_file(path: str, subcommand: str = "entropy-curve") -> dict:
+    """Line-oriented `key = value` pairs; # starts a comment; only the subcommand's options."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -98,131 +140,85 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in _COMPLEX_KEYS:
-                    out[key] = _parse_complex(value)
-                elif key in _INT_KEYS:
-                    out[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    out[key] = float(value)
-                elif key == "times":
-                    out[key] = _parse_times(value)
-                else:
-                    out[key] = value
+                out[key] = _convert(subcommand, key, value.strip())
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def dump_config(cfg: CliConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name in _COMPLEX_KEYS:
-            value = _format_complex(value)
-        elif f.name == "times":
-            value = ",".join(f"{t:g}" for t in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    """The subcommand's options as a config file that reads back to `cfg`."""
+    values = ((key, getattr(cfg, key)) for key in SUBCOMMAND_OPTIONS[cfg.subcommand])
+    return "".join(f"{key} = {_format(value)}\n" for key, value in values if value is not None)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError on a parse error, so it exits 1 like any rejected value."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dirac-decoherence",
         description="Chirality decoherence of a 1+1D Dirac particle.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = CliConfig()
-    for name in SUBCOMMANDS:
+    for name, keys in SUBCOMMAND_OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file; flags override it")
         p.add_argument("--dump-config", action="store_true",
                        help="print the effective configuration and exit")
-        p.add_argument("--mass", type=float, help=f"particle mass (default {defaults.mass})")
-        p.add_argument("--kind", choices=("gaussian_packet", "plane_wave", "positive_energy_packet"),
-                       help="initial condition kind")
-        p.add_argument("--spinor-a", type=_parse_complex, metavar="RE,IM",
-                       help="chirality -1 spinor component")
-        p.add_argument("--spinor-b", type=_parse_complex, metavar="RE,IM",
-                       help="chirality +1 spinor component")
-        p.add_argument("--center", type=float, help="packet center")
-        p.add_argument("--width", type=float, help="packet width sigma")
-        p.add_argument("--mode-index", type=int, help="plane-wave momentum index")
-        p.add_argument("--energy-sign", type=int, choices=(-1, 1), help="plane-wave energy sign")
-        p.add_argument("--grid-l", type=float, help="half extent L of the periodic domain")
-        p.add_argument("--grid-n", type=int, help="number of grid points (even)")
-        p.add_argument("--t-start", type=float, help="first sample time")
-        p.add_argument("--t-end", type=float, help="last sample time")
-        p.add_argument("--t-step", type=float, help="sample spacing")
-        p.add_argument("--times", type=_parse_times, metavar="T1,T2,...",
-                       help="explicit sample times (overrides the range)")
-        p.add_argument("--engine", choices=("spectral", "kernel"), help="evolution engine")
-        if name == "figure":
-            p.add_argument("--id", dest="figure_id", choices=sorted(FIGURES),
-                           help="figure dataset to generate")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=("csv", "svg"), help="output format")
-        if name == "validate":
-            p.add_argument("--flip-mass-sign", action="store_true",
-                           help="test hook: flip the mass coupling sign in the spectral basis")
+        for key in keys:
+            f = _OPTIONS[key]
+            default = "" if f.default is None else f" (default {_format(f.default)})"
+            p.add_argument(f.metadata["flag"] or "--" + key.replace("_", "-"), dest=key,
+                           metavar=f.metadata["metavar"], help=f.metadata["help"] + default)
     return parser
 
 
-def parse_config(argv: list[str]) -> tuple[CliConfig, argparse.Namespace]:
-    """Merge defaults, config file and flags (in increasing precedence)."""
-    ns = _build_parser().parse_args(argv)
-    cfg = CliConfig(subcommand=ns.subcommand)
-    if getattr(ns, "config", None):
-        cfg = replace(cfg, **read_config_file(ns.config))
-        cfg = replace(cfg, subcommand=ns.subcommand)
-    overrides = {}
-    for f in fields(CliConfig):
-        if f.name == "subcommand":
-            continue
-        value = getattr(ns, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    cfg = replace(cfg, **overrides)
-    _validate_config(cfg)
-    return cfg, ns
+def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
+    """Merge defaults, config file and flags (in increasing precedence); argv None
+    reads sys.argv.  Also returns whether --dump-config was given."""
+    ns = vars(_build_parser().parse_args(argv))
+    subcommand = ns["subcommand"]
+    values = read_config_file(ns["config"], subcommand) if ns["config"] else {}
+    for key in SUBCOMMAND_OPTIONS[subcommand]:
+        if ns[key] is not None:
+            values[key] = _convert(subcommand, key, ns[key])
+    return CliConfig(subcommand=subcommand, **values), ns["dump_config"]
 
 
-def _validate_config(cfg: CliConfig) -> None:
-    if cfg.grid_n < 2 or cfg.grid_n % 2 != 0:
-        raise ValueError(
-            f"grid_n = {cfg.grid_n} rejected: the momentum pairing of the "
-            f"transform requires an even point count >= 2"
-        )
-    if cfg.t_step <= 0:
-        raise ValueError(f"t_step must be positive, got {cfg.t_step}")
-    if cfg.t_end < cfg.t_start:
-        raise ValueError(f"t_end = {cfg.t_end} precedes t_start = {cfg.t_start}")
-    if cfg.times is not None and len(cfg.times) > 0:
-        t = np.asarray(cfg.times)
-        if t[0] < 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be nonnegative and strictly increasing")
-    fig = DEFAULT_GRID
-    if cfg.subcommand == "figure" and (cfg.grid_l, cfg.grid_n) != (fig.half_extent, fig.n_points):
-        raise ValueError(
-            f"figure datasets are defined on the grid L = {fig.half_extent:g}, N = {fig.n_points}; "
-            f"got grid_l = {cfg.grid_l:g}, grid_n = {cfg.grid_n}"
-        )
-    if cfg.subcommand == "entropy-curve" and not cfg.times:
-        # Raises if t_step does not divide the range entropy-curve samples.
-        uniform_times(cfg.t_start, cfg.t_end, cfg.t_step)
-
-
-def _initial_spec(cfg: CliConfig) -> InitialSpec:
-    return InitialSpec(
+def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
+    """Build what the run needs, so each value its constructors reject fails here: the
+    scenario (evolve and distributions sample t_end only), or None for figure and validate."""
+    if cfg.subcommand == "validate":
+        return None
+    if cfg.subcommand == "figure":
+        fig = DEFAULT_GRID
+        if (cfg.grid_l, cfg.grid_n) != (fig.half_extent, fig.n_points):
+            raise ValueError(
+                f"figure datasets are defined on the grid L = {fig.half_extent:g}, N = {fig.n_points}; "
+                f"got grid_l = {cfg.grid_l:g}, grid_n = {cfg.grid_n}"
+            )
+        return None
+    try:
+        grid = Grid1D(cfg.grid_l, cfg.grid_n)
+    except ValueError as exc:
+        raise ValueError(f"grid_l = {cfg.grid_l:g}, grid_n = {cfg.grid_n}: {exc}") from None
+    initial = InitialSpec(
         kind=cfg.kind, mass=cfg.mass, center=cfg.center, width=cfg.width,
         spinor=(cfg.spinor_a, cfg.spinor_b), mode_index=cfg.mode_index,
         energy_sign=cfg.energy_sign,
     )
+    build_initial(initial, grid)  # raises if the grid cannot hold the state
+    if cfg.subcommand == "entropy-curve":
+        times = cfg.times or uniform_times(cfg.t_start, cfg.t_end, cfg.t_step)
+    else:
+        times = (cfg.t_end,)
+    return ScenarioConfig(mass=cfg.mass, initial=initial, grid=grid, times=times, engine=cfg.engine)
 
 
 def _fmt(value: float) -> str:
@@ -349,13 +345,8 @@ def _binary_entropy(p: float) -> float:
     return s
 
 
-def validate(flip_mass_sign: bool = False, stream=None) -> int:
+def validate(flip_mass_sign: bool = False) -> int:
     """Fast release checks; prints one line per check, returns 0 iff all pass."""
-    from .grid import make_gaussian_packet, make_plane_wave
-
-    if stream is None:
-        stream = sys.stdout
-
     coupling = -spectral.MASS_COUPLING_SIGN if flip_mass_sign else spectral.MASS_COUPLING_SIGN
     grid = Grid1D(20.0, 1024)
     checks: list[tuple[str, float, float]] = []
@@ -392,8 +383,7 @@ def validate(flip_mass_sign: bool = False, stream=None) -> int:
         status |= 0 if ok else 1
         print(
             f"{name}: deviation={deviation:.3e} tolerance={tolerance:.0e} "
-            f"{'PASS' if ok else 'FAIL'}",
-            file=stream,
+            f"{'PASS' if ok else 'FAIL'}"
         )
     return status
 
@@ -405,12 +395,9 @@ def _write(cfg: CliConfig, dataset, path: str, title: str | None = None) -> None
         write_csv(dataset, path)
 
 
-def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
+def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
     if cfg.subcommand == "validate":
-        return validate(flip_mass_sign=getattr(ns, "flip_mass_sign", False))
-
-    grid = Grid1D(cfg.grid_l, cfg.grid_n)
-
+        return validate()
     if cfg.subcommand == "figure":
         dataset = FIGURES[cfg.figure_id]()
         _write(cfg, dataset, cfg.output, title=dataset.figure_id)
@@ -418,44 +405,27 @@ def _run(cfg: CliConfig, ns: argparse.Namespace) -> int:
         for inset in dataset.insets:
             path = os.path.join(directory, f"{inset.figure_id}.{cfg.format}")
             _write(cfg, inset, path, title=inset.figure_id)
-        return 0
-
-    initial = _initial_spec(cfg)
-
-    if cfg.subcommand in ("evolve", "distributions"):
-        field = build_initial(initial, grid)
-        t = cfg.times[-1] if cfg.times else cfg.t_end
-        if t > 0:
-            field = evolved(field, cfg.mass, t, cfg.engine)
-        pm, pp = chirality_distributions(field)
-        dataset = FigureDataset(
-            figure_id=cfg.subcommand, abscissa_label="x", abscissa=grid.x,
-            series={"prob_minus": pm, "prob_plus": pp}, metadata={"t": t},
-        )
+    elif cfg.subcommand == "entropy-curve":
+        _write(cfg, run_scenario(scenario).trace, cfg.output)
+    else:
+        dataset = distribution_dataset(cfg.subcommand, scenario.initial, cfg.t_end,
+                                       scenario.grid, cfg.engine)
         _write(cfg, dataset, cfg.output)
-        return 0
-
-    # entropy-curve
-    scenario = ScenarioConfig(
-        mass=cfg.mass, initial=initial, grid=grid,
-        times=cfg.times or uniform_times(cfg.t_start, cfg.t_end, cfg.t_step), engine=cfg.engine,
-    )
-    _write(cfg, run_scenario(scenario).trace, cfg.output)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg, ns = parse_config(argv)
+        cfg, dump = parse_config(argv)
+        scenario = _validate_config(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(ns, "dump_config", False):
+    if dump:
         sys.stdout.write(dump_config(cfg))
         return 0
     try:
-        return _run(cfg, ns)
+        return _run(cfg, scenario)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ class ScenarioConfig:
     grid: Grid1D = DEFAULT_GRID
     times: tuple[float, ...] = ()
     engine: str = "spectral"
-    outputs: frozenset[str] = frozenset({"entropy_trace"})
 
     def __post_init__(self):
         if self.engine not in ("spectral", "kernel"):
@@ -38,16 +37,12 @@ class ScenarioConfig:
             raise ValueError("times must be nonempty")
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
-        unknown = set(self.outputs) - {"entropy_trace", "distributions"}
-        if unknown:
-            raise ValueError(f"unknown outputs requested: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
     config: ScenarioConfig
     trace: density.EntropyTrace
-    distributions: dict[float, tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rho00 = np.empty(len(times))
     rho11 = np.empty(len(times))
     rho01 = np.empty(len(times), dtype=np.complex128)
-    dists: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for i, t in enumerate(times):
         ft = evolved(field0, cfg.mass, float(t), cfg.engine)
         rho = density.reduce(ft)
@@ -93,10 +87,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         rho00[i] = rho.entries[0, 0].real
         rho11[i] = rho.entries[1, 1].real
         rho01[i] = rho.entries[0, 1]
-        if "distributions" in cfg.outputs:
-            dists[float(t)] = chirality_distributions(ft)
     trace = density.EntropyTrace(times=times, entropy=entropy, rho00=rho00, rho01=rho01, rho11=rho11)
-    return ScenarioResult(config=cfg, trace=trace, distributions=dists)
+    return ScenarioResult(config=cfg, trace=trace)
 
 
 def _equal_superposition(mass: float) -> InitialSpec:
@@ -138,17 +130,17 @@ def figure1(masses: tuple[float, ...] = (0.0, 1.0, 2.0)) -> FigureDataset:
     )
 
 
-def _distribution_dataset(figure_id: str, mass: float, initial: InitialSpec, t: float) -> FigureDataset:
-    cfg = ScenarioConfig(
-        mass=mass, initial=initial, times=(t,) if t > 0 else (0.0,),
-        outputs=frozenset({"entropy_trace", "distributions"}),
-    )
-    result = run_scenario(cfg)
-    pm, pp = result.distributions[t]
+def distribution_dataset(figure_id: str, initial: InitialSpec, t: float,
+                         grid: Grid1D = DEFAULT_GRID, engine: str = "spectral") -> FigureDataset:
+    """Chirality position distributions of the initial state evolved (at its mass) to t."""
+    field = build_initial(initial, grid)
+    if t > 0:
+        field = evolved(field, initial.mass, t, engine)
+    pm, pp = chirality_distributions(field)
     return FigureDataset(
-        figure_id=figure_id, abscissa_label="x", abscissa=DEFAULT_GRID.x,
+        figure_id=figure_id, abscissa_label="x", abscissa=grid.x,
         series={"prob_minus": pm, "prob_plus": pp},
-        metadata={"mass": mass, "t": t},
+        metadata={"mass": initial.mass, "t": t},
     )
 
 
@@ -157,14 +149,14 @@ def figure2_3(mass: float) -> FigureDataset:
     if mass not in (0.0, 1.0):
         raise ValueError(f"figure2_3 is defined for mass 0 or 1, got {mass}")
     fid = "fig2" if mass == 0.0 else "fig3"
-    return _distribution_dataset(fid, mass, _equal_superposition(mass), 1.0)
+    return distribution_dataset(fid, _equal_superposition(mass), 1.0)
 
 
 def figure4() -> FigureDataset:
     """m = 1 entropy on [0, 2] with distribution insets at half-integer times."""
     trace = entropy_curve(1.0, _equal_superposition(1.0), 2.0)
     insets = tuple(
-        _distribution_dataset(f"fig4_inset_t{t:g}", 1.0, _equal_superposition(1.0), t)
+        distribution_dataset(f"fig4_inset_t{t:g}", _equal_superposition(1.0), t)
         for t in (0.5, 1.0, 1.5, 2.0)
     )
     return FigureDataset(
@@ -177,7 +169,7 @@ def figure5_6() -> FigureDataset:
     """Chiral (0, 1) initial condition, m = 1: entropy on [0, 1] plus t = 0.5 distributions."""
     chiral = InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(0.0, 1.0))
     trace = entropy_curve(1.0, chiral, 1.0)
-    inset = _distribution_dataset("fig6", 1.0, chiral, 0.5)
+    inset = distribution_dataset("fig6", chiral, 0.5)
     return FigureDataset(
         figure_id="fig5", abscissa_label="t", abscissa=trace.times,
         series={"S_bits": trace.entropy}, metadata={"mass": 1.0, "spinor": (0, 1)},

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,11 +49,100 @@ def test_malformed_number_rejected(tmp_path):
 
 
 def test_dump_config_round_trip(tmp_path):
-    cfg, _ = parse_config(["entropy-curve", "--mass", "2", "--spinor-a", "0,1", "--times", "0,0.5,1"])
-    path = tmp_path / "dumped.cfg"
-    path.write_text(dump_config(cfg))
-    reparsed, _ = parse_config(["entropy-curve", "--config", str(path)])
-    assert reparsed == cfg
+    for argv in (
+        ["entropy-curve", "--mass", "2", "--spinor-a", "0,1", "--times", "0,0.5,1"],
+        ["entropy-curve", "--spinor-a", "0.123456789,0.1", "--times", "0.1234567,0.5"],
+        ["figure", "--id", "fig3", "--format", "svg", "--output", "fig3.svg"],
+    ):
+        cfg, _ = parse_config(argv)
+        path = tmp_path / "dumped.cfg"
+        path.write_text(dump_config(cfg))
+        reparsed, _ = parse_config([argv[0], "--config", str(path)])
+        assert reparsed == cfg
+
+
+_EVOLVE = ("mass kind spinor_a spinor_b center width mode_index energy_sign grid_l grid_n "
+           "t_end engine output format").split()
+OPTIONS_USED = {
+    "evolve": _EVOLVE,
+    "entropy-curve": _EVOLVE + ["t_start", "t_step", "times"],
+    "distributions": _EVOLVE,
+    "figure": ["grid_l", "grid_n", "figure_id", "output", "format"],
+    "validate": [],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(OPTIONS_USED))
+def test_dump_config_prints_only_the_subcommand_options(capsys, subcommand):
+    assert main([subcommand, "--dump-config"]) == 0
+    dumped = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert dumped == set(OPTIONS_USED[subcommand]) - {"times"}  # times is unset by default
+
+
+def _source_args(tmp_path, source, key, value):
+    """Give option `key` the text `value` as a flag or through a config file."""
+    if source == "flag":
+        return ["--id" if key == "figure_id" else f"--{key.replace('_', '-')}", value]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    return ["--config", str(path)]
+
+
+def _written(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir() if p.name != "run.cfg")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("subcommand,key,value", [
+    ("figure", "figure_id", "fig9"),
+    ("figure", "format", "pdf"),
+    ("entropy-curve", "engine", "magic"),
+    ("entropy-curve", "kind", "cosine"),
+    ("evolve", "energy_sign", "0"),
+])
+def test_choices_checked_from_flag_and_config(tmp_path, capsys, subcommand, key, value, source):
+    argv = [subcommand, "--output", str(tmp_path / f"o.{value}")]
+    assert main(argv + _source_args(tmp_path, source, key, value)) == 1
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
+def _unused_options():
+    for subcommand, used in OPTIONS_USED.items():
+        for f in fields(CliConfig):
+            if f.name != "subcommand" and f.name not in used:
+                yield subcommand, f.name
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("subcommand,key", list(_unused_options()))
+def test_subcommand_rejects_options_it_does_not_use(tmp_path, capsys, subcommand, key, source):
+    default = getattr(CliConfig(), key)
+    value = "0.5,1" if default is None else cli._format(default)
+    extra = _source_args(tmp_path, source, key, value)
+    output = [] if subcommand == "validate" else ["--output", str(tmp_path / "o.csv")]
+    assert main([subcommand, *output, *extra]) == 1
+    err = capsys.readouterr().err
+    assert (f"unrecognized arguments: {extra[0]}" if source == "flag" else repr(key)) in err
+    assert _written(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "fig1", "--engine", "kernel", "--mass", "7", "--t-end", "9"],
+    ["evolve", "--times", "0.5,1"],
+])
+def test_ignored_options_of_earlier_versions_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subcommand_key_rejected_in_config_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("subcommand = figure\n")
+    assert main(["entropy-curve", "--config", str(path)]) == 1
+    assert "run.cfg:1: entropy-curve takes no option 'subcommand'" in capsys.readouterr().err
 
 
 def test_odd_grid_n_exit_code(tmp_path, capsys):
@@ -244,6 +334,32 @@ def test_kernel_evolve_rejects_non_commensurate_time(tmp_path, capsys):
                    "--output", str(tmp_path / "x.csv")])
     assert status != 0
     assert "nearest commensurate value is 1.015625" in capsys.readouterr().err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a rejected request must not reach the run")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--masss", "1"], "unrecognized arguments: --masss"),
+    (["--t-end"], "argument --t-end: expected one argument"),
+    (["--mass", "heavy"], "bad value for 'mass'"),
+    (["--width", "-1"], "width must be positive"),
+    (["--grid-l", "-3"], "grid_l = -3"),
+    (["--mass", "-1"], "mass must be nonnegative"),
+    (["--kind", "plane_wave", "--mode-index", "5000"], "mode_index 5000 outside"),
+])
+def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.setattr(cli, "run_scenario", _no_work)
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", *args, "--output", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_subcommand_exit_code(capsys):
+    assert main([]) == 1
+    assert "required: subcommand" in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code(capsys):
