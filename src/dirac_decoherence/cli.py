@@ -179,9 +179,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that take no value; every other flag takes one.
+_SWITCHES = ("--dump-config", "--help")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Join `--flag value` into `--flag=value` where value starts with a single '-'.
+
+    argparse would read a value such as -1,0 or -1e-1 as a flag of its own;
+    the `=` form is unambiguous.  A token that abbreviates a switch is a switch.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (token.startswith("-") and not token.startswith("--") and flag.startswith("--")
+                and "=" not in flag and not any(s.startswith(flag) for s in _SWITCHES)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
     """Merge defaults, config file and flags (in increasing precedence); argv None
     reads sys.argv.  Also returns whether --dump-config was given."""
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     ns = vars(_build_parser().parse_args(argv))
     subcommand = ns["subcommand"]
     values = read_config_file(ns["config"], subcommand) if ns["config"] else {}

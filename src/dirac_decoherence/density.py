@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import SpinorField
-from .spectral import ModeDecomposition
+from .spectral import ModeDecomposition, mode_phases
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -76,10 +76,11 @@ def eigenvalues_raw(rho: np.ndarray) -> tuple[float, float]:
 
 def reduce(field: SpinorField) -> ReducedDensityMatrix:
     """Integrate psi_a(x) conj(psi_a'(x)) over position (trapezoidal sum)."""
-    total = float(np.sum(np.abs(field.values) ** 2) * field.grid.dx)
+    rho = np.einsum("an,bn->ab", field.values, field.values.conj()) * field.grid.dx
+    # The norm is the trace: sum over sites and components of |psi|^2 dx.
+    total = float(rho.trace().real)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"field norm {total} is not 1 within {NORM_TOL}")
-    rho = np.einsum("an,bn->ab", field.values, field.values.conj()) * field.grid.dx
     # The einsum is Hermitian up to roundoff; symmetrize before validation.
     rho = (rho + rho.conj().T) / 2.0
     return ReducedDensityMatrix(rho)
@@ -91,7 +92,7 @@ def reduce_from_modes(modes: ModeDecomposition, t: float) -> ReducedDensityMatri
     Cross-sign terms at the same momentum carry exp(-+2 i w t); they are the
     only time dependence, and vanish unless both energy signs are populated.
     """
-    phase = np.exp(-1j * modes.basis.omega * t)
+    phase = mode_phases(modes.basis.omega, t)
     psi_hat = (
         modes.amp_plus * phase * modes.basis.u_plus
         + modes.amp_minus * np.conj(phase) * modes.basis.u_minus

@@ -13,6 +13,7 @@ integral is dimensionless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,12 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Two-component spinor on a grid; values[0] is chirality -1, values[1] is +1."""
+    """Two-component spinor on a grid; values[0] is chirality -1, values[1] is +1.
+
+    values is a read-only copy, so the Fourier amplitudes computed from it
+    (mode_vectors) are cached for the life of the field and never go stale:
+    a decomposed field holds one extra (2, N) complex array.
+    """
 
     grid: Grid1D
     values: np.ndarray = dc_field(repr=False)
@@ -71,6 +77,16 @@ class SpinorField:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def mode_vectors(self) -> np.ndarray:
+        """Fourier amplitudes psi_hat(k), (2, N) in FFT order; read-only, as callers share it."""
+        # Imported here to avoid a cycle: spectral builds SpinorFields too.
+        from .spectral import _mode_vectors
+
+        psi_hat = _mode_vectors(self)
+        psi_hat.flags.writeable = False
+        return psi_hat
 
     @property
     def minus(self) -> np.ndarray:

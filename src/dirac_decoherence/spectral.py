@@ -12,7 +12,10 @@ i m J0 / 2.  Eigenvalues are eps*omega with omega = sqrt(k^2 + m^2), and
 evolution multiplies each mode amplitude by exp(-i eps omega t).
 
 Mode amplitudes are normalized so that sum_k,eps |amp|^2 equals the field's
-probability integral (forward transform scaled by sqrt(dx/N)).
+probability integral (forward transform scaled by sqrt(dx/N)).  The forward
+transform is cached per field (SpinorField.mode_vectors, read-only), so
+decomposing one field at many times takes its FFT once; a decomposed field
+holds one extra (2, N) complex array for as long as it lives.
 """
 
 from __future__ import annotations
@@ -128,24 +131,26 @@ def _mode_vectors(field: SpinorField) -> np.ndarray:
 
     The grid origin sits at index N/2, so each FFT bin picks up the factor
     e^{-i k_j x_0} = (-1)^j relative to numpy's index-based transform.
+    Callers read the cached SpinorField.mode_vectors instead.
     """
     grid = field.grid
-    signs = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
-    scale = np.sqrt(grid.dx / grid.n_points)
-    return np.fft.fft(field.values, axis=1) * signs * scale
+    psi_hat = np.fft.fft(field.values, axis=1)
+    psi_hat[:, 1::2] *= -1
+    psi_hat *= np.sqrt(grid.dx / grid.n_points)
+    return psi_hat
 
 
 def _field_from_mode_vectors(grid: Grid1D, psi_hat: np.ndarray) -> SpinorField:
-    signs = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
-    scale = np.sqrt(grid.dx / grid.n_points)
-    values = np.fft.ifft(psi_hat * signs / scale, axis=1)
-    return SpinorField(grid, values)
+    """Inverse of _mode_vectors; scales and signs psi_hat in place."""
+    psi_hat[:, 1::2] *= -1
+    psi_hat /= np.sqrt(grid.dx / grid.n_points)
+    return SpinorField(grid, np.fft.ifft(psi_hat, axis=1))
 
 
 def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> ModeDecomposition:
     """Expand a field over the energy eigenmodes of H(k)."""
     basis = eigenbasis(field.grid, float(m), coupling_sign)
-    psi_hat = _mode_vectors(field)
+    psi_hat = field.mode_vectors
     amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
     amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
     return ModeDecomposition(
@@ -155,16 +160,25 @@ def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING
 
 def reconstruct(modes: ModeDecomposition) -> SpinorField:
     """Inverse of decompose."""
-    psi_hat = (
-        modes.amp_plus[None, :] * modes.basis.u_plus
-        + modes.amp_minus[None, :] * modes.basis.u_minus
-    )
+    psi_hat = modes.amp_plus * modes.basis.u_plus
+    psi_hat += modes.amp_minus * modes.basis.u_minus
     return _field_from_mode_vectors(modes.grid, psi_hat)
+
+
+def mode_phases(omega: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i omega t) for omega in FFT order, evaluated for k >= 0 only.
+
+    omega[j] and omega[N-j] are bitwise equal (k = 2 pi fftfreq negates
+    exactly), so bins N/2+1..N-1 copy bins N/2-1..1; the Nyquist bin N/2 has
+    no partner.  The result equals np.exp(-1j * omega * t) bit for bit.
+    """
+    half = np.exp(-1j * omega[: len(omega) // 2 + 1] * t)
+    return np.concatenate((half, half[-2:0:-1]))
 
 
 def evolve_modes(modes: ModeDecomposition, t: float) -> ModeDecomposition:
     """Advance mode amplitudes by phases exp(-i eps omega t)."""
-    phase = np.exp(-1j * modes.basis.omega * t)
+    phase = mode_phases(modes.basis.omega, t)
     return ModeDecomposition(
         grid=modes.grid,
         m=modes.m,

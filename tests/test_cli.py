@@ -145,6 +145,18 @@ def test_subcommand_key_rejected_in_config_file(tmp_path, capsys):
     assert "run.cfg:1: entropy-curve takes no option 'subcommand'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--spinor-a", "-1,0"), ("--center", "-1e-1"), ("--center", "-0.5")])
+def test_value_starting_with_dash_reads_as_in_equals_form(tmp_path, flag, value):
+    argv = ["entropy-curve", "--mass", "1", "--spinor-b", "0,1", "--t-end", "0.2", "--t-step", "0.1"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(argv + [flag, value, "--output", str(spaced)]) == 0
+    assert main(argv + [f"{flag}={value}", "--output", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    cfg, _ = parse_config(argv + [flag, value])
+    assert cfg == parse_config(argv + [f"{flag}={value}"])[0]
+    assert cfg != parse_config(argv)[0]
+
+
 def test_odd_grid_n_exit_code(tmp_path, capsys):
     status = main(["entropy-curve", "--grid-n", "1001", "--output", str(tmp_path / "x.csv")])
     assert status == 1

@@ -39,6 +39,25 @@ def test_reduce_rejects_unnormalized(grid):
         density.reduce(SpinorField(grid, f.values * 1.1))
 
 
+def test_reduce_norm_check_boundary(equal_packet):
+    grid = equal_packet.grid
+
+    def scaled(total):
+        return SpinorField(grid, equal_packet.values * np.sqrt(total))
+
+    for delta in (2e-6, -2e-6):
+        with pytest.raises(ValueError, match="field norm"):
+            density.reduce(scaled(1.0 + delta))
+    # Inside NORM_TOL the norm check passes, and the unit-trace check of the
+    # density matrix (TRACE_TOL) is the one that rejects the field.
+    for delta in (5e-7, -5e-7):
+        with pytest.raises(ValueError, match="density matrix trace"):
+            density.reduce(scaled(1.0 + delta))
+    for delta in (5e-11, -5e-11):
+        trace = density.reduce(scaled(1.0 + delta)).entries.trace()
+        assert trace.real == pytest.approx(1.0 + delta, abs=1e-15)
+
+
 def test_density_matrix_invariants_enforced():
     with pytest.raises(ValueError, match="Hermitian"):
         rdm([[0.5, 0.5], [0.2, 0.5]])

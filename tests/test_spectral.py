@@ -1,10 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_decoherence import density, spectral
-from dirac_decoherence.grid import Grid1D, SpinorField, make_gaussian_packet, make_plane_wave, norm
+from dirac_decoherence import density, experiments, spectral
+from dirac_decoherence.grid import (
+    Grid1D,
+    InitialSpec,
+    SpinorField,
+    build_initial,
+    make_gaussian_packet,
+    make_plane_wave,
+    norm,
+)
 
 
 def random_normalized_field(grid, seed):
@@ -108,7 +118,7 @@ def test_equal_superposition_populates_both_signs(equal_packet):
     # Direct-overlap oracle: project psi_hat(k) on each eigenspinor by hand.
     grid = equal_packet.grid
     modes = spectral.decompose(equal_packet, 1.0)
-    psi_hat = spectral._mode_vectors(equal_packet)
+    psi_hat = equal_packet.mode_vectors
     basis = spectral.eigenbasis(grid, 1.0)
     by_hand_plus = np.array(
         [np.vdot(basis.u_plus[:, j], psi_hat[:, j]) for j in range(grid.n_points)]
@@ -189,3 +199,61 @@ def test_projection_keeps_eigenmode(grid):
     dropped = spectral.project_energy(pw, 0.7, -1)
     assert np.abs(kept.values - pw.values).max() < 1e-12
     assert np.abs(dropped.values).max() < 1e-12
+
+
+def _reference_trace(cfg):
+    """The spectral sample path written out plainly: a fresh transform per
+    sample, sign and scale arrays, a phase for every bin, the einsum."""
+    grid = cfg.grid
+    field0 = build_initial(cfg.initial, grid)
+    basis = spectral.eigenbasis(grid, cfg.mass)
+    signs = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
+    scale = np.sqrt(grid.dx / grid.n_points)
+    rhos = []
+    for t in cfg.times:
+        psi_hat = np.fft.fft(field0.values, axis=1) * signs * scale
+        amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
+        amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
+        phase = np.exp(-1j * basis.omega * t)
+        amp_plus, amp_minus = amp_plus * phase, amp_minus * np.conj(phase)
+        psi_hat = amp_plus[None, :] * basis.u_plus + amp_minus[None, :] * basis.u_minus
+        values = np.fft.ifft(psi_hat * signs / scale, axis=1)
+        rho = np.einsum("an,bn->ab", values, values.conj()) * grid.dx
+        rhos.append((rho + rho.conj().T) / 2.0)
+    rhos = np.array(rhos)
+    entropy = [density.entropy_bits(density.ReducedDensityMatrix(rho)) for rho in rhos]
+    return np.array(entropy), rhos[:, 0, 0].real, rhos[:, 0, 1], rhos[:, 1, 1].real
+
+
+@pytest.mark.parametrize("spinor", [(1.0, np.exp(0.9j)), (0.0, 1.0)])
+def test_run_scenario_matches_reference_bit_for_bit(spinor):
+    initial = InitialSpec(kind="gaussian_packet", mass=1.3, center=0.4, width=1.1, spinor=spinor)
+    cfg = experiments.ScenarioConfig(mass=1.3, initial=initial, grid=Grid1D(20.0, 1024),
+                                     times=tuple(np.linspace(0.0, 2.0, 21)))
+    trace = experiments.run_scenario(cfg).trace
+    got = (trace.entropy, trace.rho00, trace.rho01, trace.rho11)
+    for actual, expected in zip(got, _reference_trace(cfg)):
+        assert np.array_equal(actual, expected)
+        assert actual.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def test_cached_transform_is_shared_read_only_and_per_field(equal_packet):
+    psi_hat = equal_packet.mode_vectors
+    assert equal_packet.mode_vectors is psi_hat
+    with pytest.raises(ValueError):
+        psi_hat[0, 0] = 0.0
+    copy = replace(equal_packet)
+    assert copy.mode_vectors is not psi_hat
+    assert np.array_equal(copy.mode_vectors, psi_hat)
+    shifted = replace(equal_packet, values=np.roll(equal_packet.values, 1, axis=1))
+    assert not np.array_equal(shifted.mode_vectors, psi_hat)
+
+
+@pytest.mark.parametrize("n_points", [2, 4, 1024, 16384])
+@pytest.mark.parametrize("half_extent", [20.0, 7.3])
+def test_mirrored_phases_equal_full_phases_bitwise(n_points, half_extent):
+    omega = spectral.eigenbasis(Grid1D(half_extent, n_points), 1.3).omega
+    half = n_points // 2
+    assert omega[1:half].tobytes() == omega[:half:-1].tobytes()
+    for t in (0.0, 0.37, 2.0, -1.5):
+        assert spectral.mode_phases(omega, t).tobytes() == np.exp(-1j * omega * t).tobytes()
