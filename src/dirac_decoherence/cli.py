@@ -115,7 +115,10 @@ SUBCOMMAND_OPTIONS = {
 
 
 def _convert(subcommand: str, key: str, text: str):
-    """The value of option `key` given as text, checked as flags and config files both need."""
+    """The value of option `key` given as text, checked as flags and config files both need.
+
+    NaN and infinities are rejected: they fail no `<` or `>` check downstream.
+    """
     if key not in SUBCOMMAND_OPTIONS[subcommand]:
         raise ValueError(f"{subcommand} takes no option {key!r}")
     meta = _OPTIONS[key].metadata
@@ -125,6 +128,9 @@ def _convert(subcommand: str, key: str, text: str):
         raise ValueError(f"bad value for {key!r}: {exc}") from None
     if meta["choices"] and value not in meta["choices"]:
         raise ValueError(f"bad value for {key!r}: {text!r} is not one of {meta['metavar']}")
+    numbers = value if isinstance(value, tuple) else (value,)
+    if not all(np.isfinite(v) for v in numbers if isinstance(v, (float, complex))):
+        raise ValueError(f"bad value for {key!r}: {text!r} is not finite")
     return value
 
 

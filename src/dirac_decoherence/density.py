@@ -17,7 +17,6 @@ from .spectral import ModeDecomposition, mode_phases
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
-NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,9 @@ class ReducedDensityMatrix:
         rho = np.asarray(self.entries, dtype=np.complex128)
         if rho.shape != (2, 2):
             raise ValueError(f"entries must be 2x2, got shape {rho.shape}")
+        # NaN fails every comparison below, so it must be caught here.
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix has non-finite entries")
         if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
@@ -79,8 +81,8 @@ def reduce(field: SpinorField) -> ReducedDensityMatrix:
     rho = np.einsum("an,bn->ab", field.values, field.values.conj()) * field.grid.dx
     # The norm is the trace: sum over sites and components of |psi|^2 dx.
     total = float(rho.trace().real)
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"field norm {total} is not 1 within {NORM_TOL}")
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"field norm {total} is not 1 within {TRACE_TOL}")
     # The einsum is Hermitian up to roundoff; symmetrize before validation.
     rho = (rho + rho.conj().T) / 2.0
     return ReducedDensityMatrix(rho)

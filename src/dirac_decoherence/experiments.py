@@ -35,6 +35,8 @@ class ScenarioConfig:
         t = np.asarray(self.times, dtype=np.float64)
         if len(t) == 0:
             raise ValueError("times must be nonempty")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
 
@@ -97,6 +99,8 @@ def _equal_superposition(mass: float) -> InitialSpec:
 
 def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...]:
     """Samples t_start + i*step up to t_end; step must divide the range."""
+    if not np.all(np.isfinite((t_start, t_end, step))):
+        raise ValueError(f"t_start, t_end and t_step must be finite, got {t_start}, {t_end}, {step}")
     if step <= 0:
         raise ValueError(f"t_step must be positive, got {step}")
     ratio = (t_end - t_start) / step

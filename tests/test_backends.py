@@ -5,6 +5,8 @@ import pytest
 
 from dirac_decoherence import BACKEND_NAME, kernel_engine
 
+from oracles import cone_correlate_reference
+
 
 def direct_sum(psi, taps, width):
     """O(N*j) oracle: out[i] = sum_d taps[d + j] * psi[(i - d) mod N]."""
@@ -32,6 +34,27 @@ def test_backends_agree(n, width):
     a = kernel_engine.cone_correlate(psi, taps, width)
     b = direct_sum(psi, taps, width)
     assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,width", [(64, 0), (64, 1), (1000, 13), (1024, 511), (1000, 499)])
+def test_bitwise_equal_to_out_of_place_reference(n, width):
+    rng = np.random.default_rng(n + width)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    taps = rng.normal(size=2 * width + 1) + 1j * rng.normal(size=2 * width + 1)
+    out = kernel_engine.cone_correlate(psi, taps, width)
+    assert out.tobytes() == cone_correlate_reference(psi, taps, width).tobytes()
+
+
+@pytest.mark.parametrize("real_taps", [False, True])
+def test_read_only_inputs_unchanged(real_taps):
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=128) + 1j * rng.normal(size=128)
+    taps = rng.normal(size=15) if real_taps else rng.normal(size=15) + 1j * rng.normal(size=15)
+    psi_copy, taps_copy = psi.copy(), taps.copy()
+    psi.flags.writeable = taps.flags.writeable = False
+    out = kernel_engine.cone_correlate(psi, taps, 7)
+    assert out.flags.writeable
+    assert psi.tobytes() == psi_copy.tobytes() and taps.tobytes() == taps_copy.tobytes()
 
 
 def test_numpy_reference_small_case():

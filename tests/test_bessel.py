@@ -3,7 +3,13 @@ import pytest
 
 from dirac_decoherence import bessel
 
-from oracles import j0_oracle, j1_oracle, j2_oracle
+from oracles import (
+    j0_float_reference,
+    j0_oracle,
+    j1_oracle,
+    j1_over_x_float_reference,
+    j2_oracle,
+)
 
 # Frozen oracle values (60-digit series, see oracles.py).
 J0_AT_1 = 0.765197686557966552
@@ -49,6 +55,59 @@ def test_negative_argument_rejected():
     for fn in (bessel.j0, bessel.j1, bessel.j1_over_x):
         with pytest.raises(ValueError):
             fn(-0.5)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.1, np.nan]), np.array([20.0, np.nan, 1.0]),
+                               np.inf, np.array([1.0, np.inf])])
+def test_non_finite_argument_rejected(x):
+    # The asymptotic branch would return NaN for an infinite argument.
+    for fn in (bessel.j0, bessel.j1, bessel.j1_over_x):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            fn(x)
+
+
+def _float_reference(x):
+    """j0, j1 and j1_over_x from the full 42-term series (x <= 14) or _asymptotic."""
+    small = x <= bessel.SERIES_SWITCH
+    j0, j1, j1_over_x = (np.empty_like(x) for _ in range(3))
+    j0[small] = j0_float_reference(x[small])
+    j1_over_x[small] = j1_over_x_float_reference(x[small])
+    j1[small] = x[small] * j1_over_x[small]
+    large = x[~small]
+    j0[~small] = bessel._asymptotic(large, 0)
+    j1[~small] = bessel._asymptotic(large, 1)
+    j1_over_x[~small] = bessel._asymptotic(large, 1) / large
+    return j0, j1, j1_over_x
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(8)
+    first_zeros = [2.404825557695773, 5.520078110286311, 8.653727912911013,
+                   11.79153443901428, 3.831705970207512, 7.015586669815619,
+                   10.17346813506272, 13.32369193631422]
+    cases = [np.array([z]) for z in first_zeros]
+    cases += [np.array([np.nextafter(z, 0.0), z, np.nextafter(z, 20.0)]) for z in first_zeros]
+    # Dense grids in kernel-sized chunks of 7 neighbouring arguments.
+    for hi, count in ((14.0, 2807), (200.0, 2807)):
+        cases += np.split(np.linspace(0.0, hi, count), count // 7)
+    # Cone arguments m*tau of kernel steps: below about 0.25.
+    cases += list(rng.uniform(0.0, 0.25, size=(500, 7)))
+    cases += list(rng.uniform(0.0, 14.0, size=(200, 7)))
+    return cases
+
+
+def test_bitwise_equal_to_full_series():
+    # The series stops early only when no later term can change a bit.
+    for x in _bit_identity_cases():
+        expected = _float_reference(x)
+        for fn, ref in zip((bessel.j0, bessel.j1, bessel.j1_over_x), expected):
+            assert fn(x).tobytes() == ref.tobytes(), (fn.__name__, x)
+
+
+def test_scalar_and_empty_arguments():
+    assert isinstance(bessel.j0(0.1), float)
+    assert bessel.j0(0.1) == float(j0_float_reference(np.array([0.1]))[0])
+    assert bessel.j1_over_x(np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("nu,fn,oracle", [(0, bessel.j0, j0_oracle), (1, bessel.j1, j1_oracle)])

@@ -369,6 +369,33 @@ def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,key", [
+    (["--mass", "nan"], "mass"),
+    (["--mass", "inf"], "mass"),
+    (["--width", "nan"], "width"),
+    (["--center", "nan"], "center"),
+    (["--spinor-a=nan,0"], "spinor_a"),
+    (["--grid-l", "nan"], "grid_l"),
+    (["--t-step", "inf"], "t_step"),
+    (["--times", "nan"], "times"),
+    (["--t-end", "inf"], "t_end"),
+])
+def test_non_finite_value_exits_1_and_writes_nothing(tmp_path, capsys, args, key):
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", *args, "--output", str(out)]) == 1
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_value_in_config_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spinor_b = 0,-inf\n")
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", "--config", str(cfg), "--output", str(out)]) == 1
+    assert "bad value for 'spinor_b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exit_code(capsys):
     assert main([]) == 1
     assert "required: subcommand" in capsys.readouterr().err

@@ -48,10 +48,10 @@ def test_reduce_norm_check_boundary(equal_packet):
     for delta in (2e-6, -2e-6):
         with pytest.raises(ValueError, match="field norm"):
             density.reduce(scaled(1.0 + delta))
-    # Inside NORM_TOL the norm check passes, and the unit-trace check of the
-    # density matrix (TRACE_TOL) is the one that rejects the field.
+    # The norm check uses the density matrix's own TRACE_TOL, so it is the
+    # one that names the fault.
     for delta in (5e-7, -5e-7):
-        with pytest.raises(ValueError, match="density matrix trace"):
+        with pytest.raises(ValueError, match="field norm"):
             density.reduce(scaled(1.0 + delta))
     for delta in (5e-11, -5e-11):
         trace = density.reduce(scaled(1.0 + delta)).entries.trace()
@@ -65,6 +65,23 @@ def test_density_matrix_invariants_enforced():
         rdm([[0.7, 0.0], [0.0, 0.7]])
     with pytest.raises(ValueError, match="eigenvalue"):
         rdm([[0.5, 0.6], [0.6, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN fails every tolerance comparison, so only an explicit check stops it.
+    for i, j in ((0, 0), (0, 1)):
+        entries = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        entries[i, j] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rdm(entries)
+
+
+def test_reduce_rejects_nan_field(equal_packet):
+    values = equal_packet.values.copy()
+    values[0, 10] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        density.reduce(SpinorField(equal_packet.grid, values))
 
 
 def test_reduce_from_modes_stationary(grid):

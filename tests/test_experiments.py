@@ -31,6 +31,12 @@ def test_scenario_config_validation():
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 1.0), engine="magic")
 
 
+@pytest.mark.parametrize("times", [(np.nan,), (0.0, np.nan), (0.0, np.inf)])
+def test_scenario_config_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=times)
+
+
 def test_massless_scenario_matches_closed_form():
     cfg = ScenarioConfig(
         mass=0.0, initial=equal_superposition(0.0), times=tuple(np.arange(0.0, 3.1, 0.5))
@@ -76,6 +82,14 @@ def test_time_grid_rule():
     assert experiments.uniform_times(0.5, 0.5, 0.1) == (0.5,)
     with pytest.raises(ValueError, match="positive"):
         experiments.uniform_times(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_start,t_end,step", [
+    (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan),
+])
+def test_time_grid_rejects_non_finite(t_start, t_end, step):
+    with pytest.raises(ValueError, match="finite"):
+        experiments.uniform_times(t_start, t_end, step)
 
 
 def test_entropy_curve_rejects_step_not_dividing_range():

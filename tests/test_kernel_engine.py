@@ -4,6 +4,8 @@ import pytest
 from dirac_decoherence import kernel_engine, spectral
 from dirac_decoherence.grid import Grid1D, SpinorField, make_gaussian_packet, norm
 
+from oracles import kernel_step_reference
+
 
 def rel_l2(a, b):
     return np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
@@ -43,6 +45,17 @@ def test_smooth_taps_component_structure():
     for alpha in (-1, 1):
         assert np.isrealobj(same[alpha])
     assert np.abs(cross.real).max() == 0.0
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 7])
+@pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
+def test_step_bitwise_equal_to_reference(grid, j, m):
+    # The full Bessel series, index-array tap layout and out-of-place FFTs
+    # give the same bits as the early-stopped series and in-place transforms.
+    rng = np.random.default_rng(j)
+    values = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
+    out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
+    assert out.values.tobytes() == kernel_step_reference(values, grid.dx, m, j).tobytes()
 
 
 def test_massless_step_is_pure_translation(equal_packet):
