@@ -2,10 +2,10 @@
 
 Subcommands:
 
-* evolve        evolve one initial condition to --t-end, write distributions
-* entropy-curve entropy trace over a time range or at --times
+* entropy-curve entropy trace over a time range or at --times (one or more)
 * distributions chirality position distributions at --t-end
-* figure        regenerate a figure dataset by id (fig1..fig6) and its insets
+* figure        regenerate a figure dataset by id (fig1..fig6) and its insets,
+                on the figure grid L = 20, N = 1024
 * validate      fast self-checks (closed-form law, stationarity, engine cross-check)
 
 Each option is one field of `CliConfig`, which gives its flag, config-file
@@ -30,7 +30,6 @@ import numpy as np
 from . import density, kernel_engine, spectral
 from .experiments import (
     FIGURES,
-    DEFAULT_GRID,
     DEFAULT_TRACE_STEP,
     FigureDataset,
     InitialSpec,
@@ -52,7 +51,10 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    times = tuple(float(p) for p in text.split(",") if p.strip())
+    if not times:
+        raise ValueError("expected at least one time")
+    return times
 
 
 def _format(value) -> str:
@@ -106,10 +108,9 @@ _STATE = ("mass", "kind", "spinor_a", "spinor_b", "center", "width", "mode_index
           "grid_l", "grid_n")
 _OUTPUT = ("output", "format")
 SUBCOMMAND_OPTIONS = {
-    "evolve": _STATE + ("t_end", "engine") + _OUTPUT,
     "entropy-curve": _STATE + ("t_start", "t_end", "t_step", "times", "engine") + _OUTPUT,
     "distributions": _STATE + ("t_end", "engine") + _OUTPUT,
-    "figure": ("grid_l", "grid_n", "figure_id") + _OUTPUT,
+    "figure": ("figure_id",) + _OUTPUT,
     "validate": (),
 }
 
@@ -221,16 +222,8 @@ def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
 
 def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
     """Build what the run needs, so each value its constructors reject fails here: the
-    scenario (evolve and distributions sample t_end only), or None for figure and validate."""
-    if cfg.subcommand == "validate":
-        return None
-    if cfg.subcommand == "figure":
-        fig = DEFAULT_GRID
-        if (cfg.grid_l, cfg.grid_n) != (fig.half_extent, fig.n_points):
-            raise ValueError(
-                f"figure datasets are defined on the grid L = {fig.half_extent:g}, N = {fig.n_points}; "
-                f"got grid_l = {cfg.grid_l:g}, grid_n = {cfg.grid_n}"
-            )
+    scenario (distributions samples t_end only), or None for figure and validate."""
+    if cfg.subcommand in ("figure", "validate"):
         return None
     try:
         grid = Grid1D(cfg.grid_l, cfg.grid_n)
@@ -243,7 +236,7 @@ def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
     )
     build_initial(initial, grid)  # raises if the grid cannot hold the state
     if cfg.subcommand == "entropy-curve":
-        times = cfg.times or uniform_times(cfg.t_start, cfg.t_end, cfg.t_step)
+        times = uniform_times(cfg.t_start, cfg.t_end, cfg.t_step) if cfg.times is None else cfg.times
     else:
         times = (cfg.t_end,)
     return ScenarioConfig(mass=cfg.mass, initial=initial, grid=grid, times=times, engine=cfg.engine)
@@ -253,34 +246,21 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def write_csv(dataset, path: str) -> None:
-    """Serialize an EntropyTrace or FigureDataset with 12 significant digits.
+    """Serialize an EntropyTrace (as the ENTROPY_HEADER columns) or FigureDataset
+    with 12 significant digits.
 
     The abscissa column keeps 12 fixed decimals so rows sort and diff stably.
     """
     if isinstance(dataset, density.EntropyTrace):
-        rows = (
-            [f"{t:.12f}", _fmt(s), _fmt(a), _fmt(c.real), _fmt(c.imag), _fmt(b)]
-            for t, s, a, c, b in zip(
-                dataset.times, dataset.entropy, dataset.rho00, dataset.rho01, dataset.rho11
-            )
-        )
-        _write_rows(path, ENTROPY_HEADER, rows)
-        return
-    header = [dataset.abscissa_label] + list(dataset.series)
-    columns = list(dataset.series.values())
-    rows = (
-        [f"{x:.12f}"] + [_fmt(col[i]) for col in columns]
-        for i, x in enumerate(dataset.abscissa)
-    )
-    _write_rows(path, header, rows)
+        columns = (dataset.entropy, dataset.rho00, dataset.rho01.real, dataset.rho01.imag,
+                   dataset.rho11)
+        dataset = FigureDataset(figure_id="trace", abscissa_label=ENTROPY_HEADER[0],
+                                abscissa=dataset.times, series=dict(zip(ENTROPY_HEADER[1:], columns)))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n")
+        for x, *values in zip(dataset.abscissa, *dataset.series.values()):
+            fh.write(",".join([f"{x:.12f}", *map(_fmt, values)]) + "\n")
 
 
 def _svg_path(points: list[tuple[float, float]]) -> str:
@@ -436,7 +416,7 @@ def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
     elif cfg.subcommand == "entropy-curve":
         _write(cfg, run_scenario(scenario).trace, cfg.output)
     else:
-        dataset = distribution_dataset(cfg.subcommand, scenario.initial, cfg.t_end,
+        dataset = distribution_dataset("distributions", scenario.initial, cfg.t_end,
                                        scenario.grid, cfg.engine)
         _write(cfg, dataset, cfg.output)
     return 0

@@ -43,7 +43,6 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    config: ScenarioConfig
     trace: density.EntropyTrace
 
 
@@ -63,8 +62,6 @@ class FigureDataset:
         for label, col in self.series.items():
             if len(col) != n:
                 raise ValueError(f"series {label!r} length {len(col)} != abscissa {n}")
-        if len(set(self.series)) != len(self.series):
-            raise ValueError("series labels must be unique")
 
 
 def evolved(field: SpinorField, m: float, t: float, engine: str) -> SpinorField:
@@ -90,7 +87,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         rho11[i] = rho.entries[1, 1].real
         rho01[i] = rho.entries[0, 1]
     trace = density.EntropyTrace(times=times, entropy=entropy, rho00=rho00, rho01=rho01, rho11=rho11)
-    return ScenarioResult(config=cfg, trace=trace)
+    return ScenarioResult(trace=trace)
 
 
 def _equal_superposition(mass: float) -> InitialSpec:

@@ -55,11 +55,9 @@ def eigenspinor(k: float, energy_sign: int, m: float, coupling_sign: float = MAS
 class EnergyEigenbasis:
     """Per-momentum energies and orthonormal eigenspinors of H(k).
 
-    u_plus/u_minus have shape (2, N): column j is the spinor at momentum k[j].
+    u_plus/u_minus have shape (2, N): column j is the spinor at the j-th momentum.
     """
 
-    k: np.ndarray = dc_field(repr=False)
-    m: float
     omega: np.ndarray = dc_field(repr=False)
     u_plus: np.ndarray = dc_field(repr=False)
     u_minus: np.ndarray = dc_field(repr=False)
@@ -72,7 +70,7 @@ def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPL
     (s*m, k + eps*omega) and (k - eps*omega, -s*m); whichever has the larger
     norm is well conditioned, including the massless limit where one of them
     vanishes identically.  The returned arrays are read-only, since
-    eigenbasis shares them between callers; k is copied first.
+    eigenbasis shares them between callers.
     """
     k = np.array(k, dtype=np.float64)
     omega = dispersion(k, m)
@@ -99,10 +97,10 @@ def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPL
         v = v * np.where(lead < 0, -1.0, 1.0)
         return v.astype(np.complex128)
 
-    arrays = {"k": k, "omega": omega, "u_plus": vec(+1), "u_minus": vec(-1)}
+    arrays = {"omega": omega, "u_plus": vec(+1), "u_minus": vec(-1)}
     for a in arrays.values():
         a.flags.writeable = False
-    return EnergyEigenbasis(m=float(m), **arrays)
+    return EnergyEigenbasis(**arrays)
 
 
 @lru_cache(maxsize=32)
@@ -120,7 +118,6 @@ class ModeDecomposition:
     """
 
     grid: Grid1D
-    m: float
     amp_plus: np.ndarray = dc_field(repr=False)
     amp_minus: np.ndarray = dc_field(repr=False)
     basis: EnergyEigenbasis = dc_field(repr=False)
@@ -153,9 +150,7 @@ def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING
     psi_hat = field.mode_vectors
     amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
     amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
-    return ModeDecomposition(
-        grid=field.grid, m=float(m), amp_plus=amp_plus, amp_minus=amp_minus, basis=basis
-    )
+    return ModeDecomposition(grid=field.grid, amp_plus=amp_plus, amp_minus=amp_minus, basis=basis)
 
 
 def reconstruct(modes: ModeDecomposition) -> SpinorField:
@@ -181,7 +176,6 @@ def evolve_modes(modes: ModeDecomposition, t: float) -> ModeDecomposition:
     phase = mode_phases(modes.basis.omega, t)
     return ModeDecomposition(
         grid=modes.grid,
-        m=modes.m,
         amp_plus=modes.amp_plus * phase,
         amp_minus=modes.amp_minus * np.conj(phase),
         basis=modes.basis,
@@ -201,7 +195,6 @@ def project_energy(field: SpinorField, m: float, energy_sign: int) -> SpinorFiel
     zero = np.zeros_like(modes.amp_plus)
     kept = ModeDecomposition(
         grid=modes.grid,
-        m=modes.m,
         amp_plus=modes.amp_plus if energy_sign == 1 else zero,
         amp_minus=modes.amp_minus if energy_sign == -1 else zero,
         basis=modes.basis,

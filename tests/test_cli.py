@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -61,13 +62,12 @@ def test_dump_config_round_trip(tmp_path):
         assert reparsed == cfg
 
 
-_EVOLVE = ("mass kind spinor_a spinor_b center width mode_index energy_sign grid_l grid_n "
-           "t_end engine output format").split()
+_DISTRIBUTIONS = ("mass kind spinor_a spinor_b center width mode_index energy_sign grid_l grid_n "
+                  "t_end engine output format").split()
 OPTIONS_USED = {
-    "evolve": _EVOLVE,
-    "entropy-curve": _EVOLVE + ["t_start", "t_step", "times"],
-    "distributions": _EVOLVE,
-    "figure": ["grid_l", "grid_n", "figure_id", "output", "format"],
+    "entropy-curve": _DISTRIBUTIONS + ["t_start", "t_step", "times"],
+    "distributions": _DISTRIBUTIONS,
+    "figure": ["figure_id", "output", "format"],
     "validate": [],
 }
 
@@ -77,6 +77,34 @@ def test_dump_config_prints_only_the_subcommand_options(capsys, subcommand):
     assert main([subcommand, "--dump-config"]) == 0
     dumped = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
     assert dumped == set(OPTIONS_USED[subcommand]) - {"times"}  # times is unset by default
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand", sorted(OPTIONS_USED))
+def test_subcommand_help_lists_exactly_its_flags(capsys, subcommand):
+    listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", _help(capsys, [subcommand]), re.MULTILINE))
+    flags = {"--id" if key == "figure_id" else "--" + key.replace("_", "-")
+             for key in OPTIONS_USED[subcommand]}
+    assert listed == flags | {"--help", "--config", "--dump-config"}
+
+
+def test_top_level_help_lists_exactly_the_subcommands(capsys):
+    choices = re.search(r"\{([^}]*)\}", _help(capsys, [])).group(1)
+    assert sorted(choices.split(",")) == sorted(OPTIONS_USED)
+
+
+def test_evolve_subcommand_removed(tmp_path, capsys):
+    assert main(["evolve", "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'evolve'" in err
+    assert all(repr(subcommand) in err for subcommand in OPTIONS_USED)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _source_args(tmp_path, source, key, value):
@@ -98,7 +126,7 @@ def _written(tmp_path):
     ("figure", "format", "pdf"),
     ("entropy-curve", "engine", "magic"),
     ("entropy-curve", "kind", "cosine"),
-    ("evolve", "energy_sign", "0"),
+    ("distributions", "energy_sign", "0"),
 ])
 def test_choices_checked_from_flag_and_config(tmp_path, capsys, subcommand, key, value, source):
     argv = [subcommand, "--output", str(tmp_path / f"o.{value}")]
@@ -129,7 +157,7 @@ def test_subcommand_rejects_options_it_does_not_use(tmp_path, capsys, subcommand
 
 @pytest.mark.parametrize("argv", [
     ["figure", "--id", "fig1", "--engine", "kernel", "--mass", "7", "--t-end", "9"],
-    ["evolve", "--times", "0.5,1"],
+    ["distributions", "--times", "0.5,1"],
 ])
 def test_ignored_options_of_earlier_versions_rejected(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
@@ -251,20 +279,20 @@ def test_figure_svg_writes_insets(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("key,value", [("grid_l", "10"), ("grid_n", "2048")])
-def test_figure_rejects_other_grid(tmp_path, capsys, source, key, value):
-    out = tmp_path / "fig1.csv"
-    if source == "flag":
-        extra = [f"--{key.replace('_', '-')}", value]
-    else:
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = {value}\n")
-        extra = ["--config", str(path)]
-    status = main(["figure", "--id", "fig1", "--output", str(out), *extra])
-    assert status == 1
-    assert "figure datasets are defined on the grid L = 20, N = 1024" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("mass,figure_id", [("0", "fig2"), ("1", "fig3")])
+def test_distributions_reproduce_figure_bytes(tmp_path, mass, figure_id):
+    dist, fig = tmp_path / "dist.csv", tmp_path / f"{figure_id}.csv"
+    assert main(["distributions", "--mass", mass, "--t-end", "1", "--output", str(dist)]) == 0
+    assert main(["figure", "--id", figure_id, "--output", str(fig)]) == 0
+    assert dist.read_bytes() == fig.read_bytes()
+
+
+def test_entropy_curve_reproduces_figure4_columns(tmp_path):
+    trace, fig = tmp_path / "trace.csv", tmp_path / "fig4.csv"
+    assert main(["entropy-curve", "--mass", "1", "--t-end", "2", "--output", str(trace)]) == 0
+    assert main(["figure", "--id", "fig4", "--output", str(fig)]) == 0
+    columns = [",".join(line.split(",")[:2]) for line in trace.read_text().splitlines()]
+    assert columns == fig.read_text().splitlines()
 
 
 def test_figure2_svg_has_two_series(tmp_path):
@@ -342,7 +370,7 @@ def test_step_not_dividing_range_exit_code(tmp_path, capsys):
 
 def test_kernel_evolve_rejects_non_commensurate_time(tmp_path, capsys):
     # t / dx = 25.6 at the default grid (dx = 0.0390625): 26 cells is nearest.
-    status = main(["evolve", "--engine", "kernel", "--t-end", "1",
+    status = main(["distributions", "--engine", "kernel", "--t-end", "1",
                    "--output", str(tmp_path / "x.csv")])
     assert status != 0
     assert "nearest commensurate value is 1.015625" in capsys.readouterr().err
@@ -384,6 +412,18 @@ def test_non_finite_value_exits_1_and_writes_nothing(tmp_path, capsys, args, key
     out = tmp_path / "x.csv"
     assert main(["entropy-curve", *args, "--output", str(out)]) == 1
     assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [["--times", ","], ["--times", ""], ["--times="], "config"],
+                         ids=["comma", "empty", "equals", "config"])
+def test_empty_time_list_rejected(tmp_path, capsys, source):
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("times = \n")
+        source = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", "--t-end", "0.02", *source, "--output", str(out)]) == 1
+    assert "bad value for 'times'" in capsys.readouterr().err
     assert not out.exists()
 
 
