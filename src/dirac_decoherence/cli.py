@@ -1,11 +1,13 @@
 """Command-line interface: scenario dispatch, CSV and SVG emission.
 
-Subcommands:
+Subcommands, each writing one dataset to --output (an SVG plot if the path
+ends in .svg, CSV otherwise):
 
 * entropy-curve entropy trace over a time range or at --times (one or more)
 * distributions chirality position distributions at --t-end
 * figure        regenerate a figure dataset by id (fig1..fig6) and its insets,
-                on the figure grid L = 20, N = 1024
+                on the figure grid L = 20, N = 1024; each inset is written
+                beside the output as <inset id> plus the output's extension
 * validate      fast self-checks (closed-form law, stationarity, engine cross-check)
 
 Each option is one field of `CliConfig`, which gives its flag, config-file
@@ -14,8 +16,10 @@ subcommand uses; it rejects any other flag or key.  Options may come from a
 `key = value` config file (# comments allowed) via --config; explicit flags
 override file values.  --dump-config prints the effective configuration in
 the same format.  Exit codes: 0 success; 1 parse or validation failure, which
-includes any value the grid, initial-state or sample-time constructors reject,
-before any evolution; 2 runtime failure.
+includes any value the grid, initial-state or sample-time constructors reject
+(for the kernel engine, a time that is not a whole number of cells), before
+any evolution; 2 a failure after the run started, such as an output that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -93,24 +97,23 @@ class CliConfig:
     t_start: float = _option(0.0, "first sample time")
     t_end: float = _option(2.0, "last sample time")
     t_step: float = _option(DEFAULT_TRACE_STEP, "sample spacing")
-    times: tuple[float, ...] | None = _option(None, "explicit sample times (overrides the range)",
+    times: tuple[float, ...] | None = _option(None, "explicit sample times, in place of the range",
                                               _parse_times, metavar="T1,T2,...")
     engine: str = _option("spectral", "evolution engine", str, ("spectral", "kernel"))
     figure_id: str = _option("fig1", "figure dataset to generate", str, tuple(sorted(FIGURES)),
                              flag="--id")
-    output: str = _option("out.csv", "output file path", str)
-    format: str = _option("csv", "output format", str, ("csv", "svg"))
+    output: str = _option("out.csv", "output file path: SVG plot if it ends in .svg, else CSV", str)
 
 
 _OPTIONS = {f.name: f for f in fields(CliConfig) if f.metadata}
-# The initial state and its grid, then the outputs: in field order, as help and dumps list them.
+# The initial state and its grid, and the sample range: in field order, as help and dumps list them.
 _STATE = ("mass", "kind", "spinor_a", "spinor_b", "center", "width", "mode_index", "energy_sign",
           "grid_l", "grid_n")
-_OUTPUT = ("output", "format")
+_RANGE = ("t_start", "t_end", "t_step")
 SUBCOMMAND_OPTIONS = {
-    "entropy-curve": _STATE + ("t_start", "t_end", "t_step", "times", "engine") + _OUTPUT,
-    "distributions": _STATE + ("t_end", "engine") + _OUTPUT,
-    "figure": ("figure_id",) + _OUTPUT,
+    "entropy-curve": _STATE + _RANGE + ("times", "engine", "output"),
+    "distributions": _STATE + ("t_end", "engine", "output"),
+    "figure": ("figure_id", "output"),
     "validate": (),
 }
 
@@ -155,8 +158,11 @@ def read_config_file(path: str, subcommand: str = "entropy-curve") -> dict:
 
 
 def dump_config(cfg: CliConfig) -> str:
-    """The subcommand's options as a config file that reads back to `cfg`."""
-    values = ((key, getattr(cfg, key)) for key in SUBCOMMAND_OPTIONS[cfg.subcommand])
+    """The subcommand's options as a config file that reads back to `cfg`; the
+    range is left out when times are set, since the two may not be given together."""
+    skipped = _RANGE if cfg.times is not None else ()
+    values = ((key, getattr(cfg, key)) for key in SUBCOMMAND_OPTIONS[cfg.subcommand]
+              if key not in skipped)
     return "".join(f"{key} = {_format(value)}\n" for key, value in values if value is not None)
 
 
@@ -217,6 +223,10 @@ def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
     for key in SUBCOMMAND_OPTIONS[subcommand]:
         if ns[key] is not None:
             values[key] = _convert(subcommand, key, ns[key])
+    ranged = [key for key in _RANGE if key in values]
+    if "times" in values and ranged:
+        raise ValueError(f"times and {', '.join(ranged)} given together: "
+                         "give the sample times or the range, not both")
     return CliConfig(subcommand=subcommand, **values), ns["dump_config"]
 
 
@@ -246,17 +256,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def write_csv(dataset, path: str) -> None:
-    """Serialize an EntropyTrace (as the ENTROPY_HEADER columns) or FigureDataset
-    with 12 significant digits.
+def write_csv(dataset: FigureDataset, path: str) -> None:
+    """Serialize a dataset's columns with 12 significant digits.
 
     The abscissa column keeps 12 fixed decimals so rows sort and diff stably.
     """
-    if isinstance(dataset, density.EntropyTrace):
-        columns = (dataset.entropy, dataset.rho00, dataset.rho01.real, dataset.rho01.imag,
-                   dataset.rho11)
-        dataset = FigureDataset(figure_id="trace", abscissa_label=ENTROPY_HEADER[0],
-                                abscissa=dataset.times, series=dict(zip(ENTROPY_HEADER[1:], columns)))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n")
         for x, *values in zip(dataset.abscissa, *dataset.series.values()):
@@ -270,13 +274,9 @@ def _svg_path(points: list[tuple[float, float]]) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def write_svg_plot(dataset, path: str, title: str | None = None) -> None:
-    """Standalone SVG 1.1 line plot: axes, ticks, one polyline per series, legend."""
-    if isinstance(dataset, density.EntropyTrace):
-        dataset = FigureDataset(
-            figure_id="trace", abscissa_label="t", abscissa=dataset.times,
-            series={"S_bits": dataset.entropy},
-        )
+def write_svg_plot(dataset: FigureDataset, path: str) -> None:
+    """Standalone SVG 1.1 line plot titled by the figure id: axes, ticks, one
+    polyline per series, legend."""
     if len(dataset.abscissa) == 0:
         raise ValueError("cannot plot an empty dataset")
     width, height = 640.0, 420.0
@@ -304,12 +304,9 @@ def write_svg_plot(dataset, path: str, title: str | None = None) -> None:
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
         f'<rect x="{ml:g}" y="{mt:g}" width="{width - ml - mr:g}" '
         f'height="{height - mt - mb:g}" fill="none" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{dataset.figure_id}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for tick in np.linspace(x_lo, x_hi, 5):
         x = px(tick)
         parts.append(f'<line x1="{x:.3f}" y1="{height - mb:.3f}" x2="{x:.3f}" '
@@ -361,8 +358,8 @@ def validate(flip_mass_sign: bool = False) -> int:
 
     packet = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
     dev = 0.0
-    for t in np.arange(0.0, 3.01, 0.25):
-        rho = density.reduce(spectral.evolve(packet, 0.0, float(t)))
+    for t in uniform_times(0.0, 3.0, 0.25):
+        rho = density.reduce(spectral.evolve(packet, 0.0, t))
         expected_off = np.exp(-t * t) / 2.0
         dev = max(dev, abs(rho.entries[0, 1] - expected_off))
         dev = max(dev, abs(density.entropy_bits(rho) - _binary_entropy(0.5 + expected_off)))
@@ -396,29 +393,25 @@ def validate(flip_mass_sign: bool = False) -> int:
     return status
 
 
-def _write(cfg: CliConfig, dataset, path: str, title: str | None = None) -> None:
-    if cfg.format == "svg":
-        write_svg_plot(dataset, path, title=title)
-    else:
-        write_csv(dataset, path)
-
-
 def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
     if cfg.subcommand == "validate":
         return validate()
     if cfg.subcommand == "figure":
         dataset = FIGURES[cfg.figure_id]()
-        _write(cfg, dataset, cfg.output, title=dataset.figure_id)
-        directory = os.path.dirname(cfg.output)
-        for inset in dataset.insets:
-            path = os.path.join(directory, f"{inset.figure_id}.{cfg.format}")
-            _write(cfg, inset, path, title=inset.figure_id)
     elif cfg.subcommand == "entropy-curve":
-        _write(cfg, run_scenario(scenario).trace, cfg.output)
+        trace = run_scenario(scenario).trace
+        columns = (trace.entropy, trace.rho00, trace.rho01.real, trace.rho01.imag, trace.rho11)
+        dataset = FigureDataset(figure_id="entropy-curve", abscissa_label=ENTROPY_HEADER[0],
+                                abscissa=trace.times, series=dict(zip(ENTROPY_HEADER[1:], columns)))
     else:
         dataset = distribution_dataset("distributions", scenario.initial, cfg.t_end,
                                        scenario.grid, cfg.engine)
-        _write(cfg, dataset, cfg.output)
+    extension = os.path.splitext(cfg.output)[1]
+    write = write_svg_plot if extension == ".svg" else write_csv
+    write(dataset, cfg.output)
+    directory = os.path.dirname(cfg.output)
+    for inset in dataset.insets:
+        write(inset, os.path.join(directory, inset.figure_id + extension))
     return 0
 
 

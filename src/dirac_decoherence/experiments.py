@@ -32,6 +32,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.engine not in ("spectral", "kernel"):
             raise ValueError(f"engine must be 'spectral' or 'kernel', got {self.engine!r}")
+        if self.mass != self.initial.mass:
+            raise ValueError(f"mass = {self.mass} differs from the initial state's "
+                             f"mass = {self.initial.mass}")
         t = np.asarray(self.times, dtype=np.float64)
         if len(t) == 0:
             raise ValueError("times must be nonempty")
@@ -39,6 +42,9 @@ class ScenarioConfig:
             raise ValueError("times must be finite")
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
+        if self.engine == "kernel":
+            for ti in t:  # each time must be a whole number of cells, checked before any step
+                kernel_engine._step_count(float(ti), self.grid.dx)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def test_dump_config_round_trip(tmp_path):
     for argv in (
         ["entropy-curve", "--mass", "2", "--spinor-a", "0,1", "--times", "0,0.5,1"],
         ["entropy-curve", "--spinor-a", "0.123456789,0.1", "--times", "0.1234567,0.5"],
-        ["figure", "--id", "fig3", "--format", "svg", "--output", "fig3.svg"],
+        ["figure", "--id", "fig3", "--output", "fig3.svg"],
     ):
         cfg, _ = parse_config(argv)
         path = tmp_path / "dumped.cfg"
@@ -63,11 +63,11 @@ def test_dump_config_round_trip(tmp_path):
 
 
 _DISTRIBUTIONS = ("mass kind spinor_a spinor_b center width mode_index energy_sign grid_l grid_n "
-                  "t_end engine output format").split()
+                  "t_end engine output").split()
 OPTIONS_USED = {
     "entropy-curve": _DISTRIBUTIONS + ["t_start", "t_step", "times"],
     "distributions": _DISTRIBUTIONS,
-    "figure": ["figure_id", "output", "format"],
+    "figure": ["figure_id", "output"],
     "validate": [],
 }
 # Removed subcommands and the options they took. Called with any other option
@@ -126,7 +126,6 @@ def _written(tmp_path):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("subcommand,key,value", [
     ("figure", "figure_id", "fig9"),
-    ("figure", "format", "pdf"),
     ("entropy-curve", "engine", "magic"),
     ("entropy-curve", "kind", "cosine"),
     ("distributions", "energy_sign", "0"),
@@ -164,11 +163,25 @@ def test_subcommand_rejects_options_it_does_not_use(tmp_path, capsys, subcommand
 @pytest.mark.parametrize("argv", [
     ["figure", "--id", "fig1", "--engine", "kernel", "--mass", "7", "--t-end", "9"],
     ["distributions", "--times", "0.5,1"],
+    ["figure", "--id", "fig2", "--format", "svg"],
 ])
 def test_ignored_options_of_earlier_versions_rejected(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
     assert main(argv + ["--output", str(out)]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file_line,flags", [
+    ("times = 0.5,1", ["--t-start", "0.5"]),
+    ("t_step = 0.5", ["--times", "0.5,1"]),
+])
+def test_times_with_range_rejected_across_config_and_flags(tmp_path, capsys, file_line, flags):
+    path = tmp_path / "run.cfg"
+    path.write_text(file_line + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["entropy-curve", "--config", str(path), *flags, "--output", str(out)]) == 1
+    assert "give the sample times or the range, not both" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -264,7 +277,7 @@ def test_figure_subcommand_writes_insets(tmp_path):
 
 def test_figure_svg_output(tmp_path):
     out = tmp_path / "fig1.svg"
-    status = main(["figure", "--id", "fig1", "--output", str(out), "--format", "svg"])
+    status = main(["figure", "--id", "fig1", "--output", str(out)])
     assert status == 0
     text = out.read_text()
     assert text.startswith("<?xml")
@@ -275,7 +288,7 @@ def test_figure_svg_output(tmp_path):
 
 def test_figure_svg_writes_insets(tmp_path):
     out = tmp_path / "fig4.svg"
-    status = main(["figure", "--id", "fig4", "--output", str(out), "--format", "svg"])
+    status = main(["figure", "--id", "fig4", "--output", str(out)])
     assert status == 0
     for t in ("0.5", "1", "1.5", "2"):
         text = (tmp_path / f"fig4_inset_t{t}.svg").read_text()
@@ -283,6 +296,40 @@ def test_figure_svg_writes_insets(tmp_path):
         assert f"fig4_inset_t{t}</text>" in text
         assert "prob_minus" in text and "prob_plus" in text
     assert not list(tmp_path.glob("*.csv"))
+
+
+_ONE_OF_EACH_JOB = [
+    ["entropy-curve", "--t-end", "0.2", "--t-step", "0.1"],
+    ["distributions", "--t-end", "0.5"],
+    ["figure", "--id", "fig5"],
+]
+
+
+@pytest.mark.parametrize("argv,title,series,written", [
+    (_ONE_OF_EACH_JOB[0], "entropy-curve", 5, ["out.svg"]),
+    (_ONE_OF_EACH_JOB[1], "distributions", 2, ["out.svg"]),
+    (_ONE_OF_EACH_JOB[2], "fig5", 1, ["fig6.svg", "out.svg"]),
+])
+def test_svg_suffix_writes_svg(tmp_path, argv, title, series, written):
+    out = tmp_path / "out.svg"
+    assert main(argv + ["--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("<?xml")
+    assert f">{title}</text>" in text
+    assert text.count("<path") == series
+    assert _written(tmp_path) == written
+
+
+@pytest.mark.parametrize("suffix", [".dat", ""])
+@pytest.mark.parametrize("argv", _ONE_OF_EACH_JOB)
+def test_other_suffix_writes_the_csv_bytes(tmp_path, argv, suffix):
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "other").mkdir()
+    assert main(argv + ["--output", str(tmp_path / "csv" / "out.csv")]) == 0
+    assert main(argv + ["--output", str(tmp_path / "other" / f"out{suffix}")]) == 0
+    csv = {p.stem: p.read_bytes() for p in (tmp_path / "csv").iterdir()}
+    other = {p.name: p.read_bytes() for p in (tmp_path / "other").iterdir()}
+    assert other == {stem + suffix: data for stem, data in csv.items()}
 
 
 @pytest.mark.parametrize("mass,figure_id", [("0", "fig2"), ("1", "fig3")])
@@ -303,7 +350,7 @@ def test_entropy_curve_reproduces_figure4_columns(tmp_path):
 
 def test_figure2_svg_has_two_series(tmp_path):
     out = tmp_path / "fig2.svg"
-    main(["figure", "--id", "fig2", "--output", str(out), "--format", "svg"])
+    main(["figure", "--id", "fig2", "--output", str(out)])
     text = out.read_text()
     assert text.count("<path") == 2
     assert "prob_minus" in text and "prob_plus" in text
@@ -394,6 +441,8 @@ def _no_work(*args, **kwargs):
     (["--grid-l", "-3"], "grid_l = -3"),
     (["--mass", "-1"], "mass must be nonnegative"),
     (["--kind", "plane_wave", "--mode-index", "5000"], "mode_index 5000 outside"),
+    (["--engine", "kernel", "--times", "0.0390625,0.5"], "nearest commensurate value is 0.5078125"),
+    (["--t-end", "5", "--t-step", "0.5", "--times", "0.5,1"], "times and t_end, t_step given together"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

@@ -29,6 +29,8 @@ def test_scenario_config_validation():
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 0.0))
     with pytest.raises(ValueError):
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 1.0), engine="magic")
+    with pytest.raises(ValueError, match="differs from the initial state's mass"):
+        ScenarioConfig(mass=1.0, initial=equal_superposition(2.0), times=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("times", [(np.nan,), (0.0, np.nan), (0.0, np.inf)])
@@ -69,11 +71,8 @@ def test_engines_agree_on_entropy():
 
 
 def test_kernel_engine_rejects_non_commensurate_times():
-    cfg = ScenarioConfig(
-        mass=1.0, initial=equal_superposition(1.0), times=(1.0,), engine="kernel"
-    )
     with pytest.raises(ValueError, match="commensurate"):
-        run_scenario(cfg)
+        ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(1.0,), engine="kernel")
 
 
 def test_time_grid_rule():
