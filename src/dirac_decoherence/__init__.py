@@ -23,10 +23,6 @@ from .experiments import (
     ScenarioConfig,
     ScenarioResult,
     entropy_curve,
-    figure1,
-    figure2_3,
-    figure4,
-    figure5_6,
     local_max_locator,
     run_scenario,
 )

@@ -34,6 +34,7 @@ import numpy as np
 from . import density, kernel_engine, spectral
 from .experiments import (
     FIGURES,
+    DEFAULT_GRID,
     DEFAULT_TRACE_STEP,
     FigureDataset,
     InitialSpec,
@@ -42,7 +43,7 @@ from .experiments import (
     run_scenario,
     uniform_times,
 )
-from .grid import Grid1D, build_initial, make_gaussian_packet, make_plane_wave
+from .grid import Grid1D, make_gaussian_packet, make_plane_wave
 
 ENTROPY_HEADER = ["t", "S_bits", "rho00", "rho01_re", "rho01_im", "rho11"]
 
@@ -92,8 +93,8 @@ class CliConfig:
     width: float = _option(1.0, "packet width sigma")
     mode_index: int = _option(0, "plane-wave momentum index", int)
     energy_sign: int = _option(1, "plane-wave energy sign", int, (-1, 1))
-    grid_l: float = _option(20.0, "half extent L of the periodic domain")
-    grid_n: int = _option(1024, "number of grid points (even)", int)
+    grid_l: float = _option(DEFAULT_GRID.half_extent, "half extent L of the periodic domain")
+    grid_n: int = _option(DEFAULT_GRID.n_points, "number of grid points (even)", int)
     t_start: float = _option(0.0, "first sample time")
     t_end: float = _option(2.0, "last sample time")
     t_step: float = _option(DEFAULT_TRACE_STEP, "sample spacing")
@@ -231,8 +232,8 @@ def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
 
 
 def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
-    """Build what the run needs, so each value its constructors reject fails here: the
-    scenario (distributions samples t_end only), or None for figure and validate."""
+    """The scenario the run needs, so each value its constructors reject fails here
+    (distributions samples t_end only), or None for figure and validate."""
     if cfg.subcommand in ("figure", "validate"):
         return None
     try:
@@ -244,7 +245,6 @@ def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
         spinor=(cfg.spinor_a, cfg.spinor_b), mode_index=cfg.mode_index,
         energy_sign=cfg.energy_sign,
     )
-    build_initial(initial, grid)  # raises if the grid cannot hold the state
     if cfg.subcommand == "entropy-curve":
         times = uniform_times(cfg.t_start, cfg.t_end, cfg.t_step) if cfg.times is None else cfg.times
     else:
@@ -353,7 +353,7 @@ def _binary_entropy(p: float) -> float:
 def validate(flip_mass_sign: bool = False) -> int:
     """Fast release checks; prints one line per check, returns 0 iff all pass."""
     coupling = -spectral.MASS_COUPLING_SIGN if flip_mass_sign else spectral.MASS_COUPLING_SIGN
-    grid = Grid1D(20.0, 1024)
+    grid = DEFAULT_GRID
     checks: list[tuple[str, float, float]] = []
 
     packet = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
@@ -404,8 +404,7 @@ def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
         dataset = FigureDataset(figure_id="entropy-curve", abscissa_label=ENTROPY_HEADER[0],
                                 abscissa=trace.times, series=dict(zip(ENTROPY_HEADER[1:], columns)))
     else:
-        dataset = distribution_dataset("distributions", scenario.initial, cfg.t_end,
-                                       scenario.grid, cfg.engine)
+        dataset = distribution_dataset("distributions", scenario)
     extension = os.path.splitext(cfg.output)[1]
     write = write_svg_plot if extension == ".svg" else write_csv
     write(dataset, cfg.output)

@@ -23,11 +23,14 @@ DEFAULT_TRACE_STEP = 0.01
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One checked request; constructing it builds its initial field once, as field0."""
+
     mass: float
     initial: InitialSpec
     grid: Grid1D = DEFAULT_GRID
     times: tuple[float, ...] = ()
     engine: str = "spectral"
+    field0: SpinorField = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.engine not in ("spectral", "kernel"):
@@ -43,8 +46,9 @@ class ScenarioConfig:
         if t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be nonnegative and strictly increasing")
         if self.engine == "kernel":
-            for ti in t:  # each time must be a whole number of cells, checked before any step
-                kernel_engine._step_count(float(ti), self.grid.dx)
+            for ti in t:  # each walk is checked before any step
+                kernel_engine.walk(float(ti), self.grid)
+        object.__setattr__(self, "field0", build_initial(self.initial, self.grid))
 
 
 @dataclass(frozen=True)
@@ -70,34 +74,28 @@ class FigureDataset:
                 raise ValueError(f"series {label!r} length {len(col)} != abscissa {n}")
 
 
-def evolved(field: SpinorField, m: float, t: float, engine: str) -> SpinorField:
-    """The field at time t by the chosen engine (t = 0 always by the spectral one)."""
-    if engine == "spectral" or t == 0.0:
-        return spectral.evolve(field, m, t)
-    return kernel_engine.evolve_to(field, m, t)
+def evolved(cfg: ScenarioConfig, t: float) -> SpinorField:
+    """The request's field at time t by its engine (t = 0 always by the spectral one)."""
+    if cfg.engine == "spectral" or t == 0.0:
+        return spectral.evolve(cfg.field0, cfg.mass, t)
+    return kernel_engine.evolve_to(cfg.field0, cfg.mass, t)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Evolve from t = 0 to each sample time; collect entropy and entries."""
-    field0 = build_initial(cfg.initial, cfg.grid)
     times = np.asarray(cfg.times, dtype=np.float64)
     entropy = np.empty(len(times))
     rho00 = np.empty(len(times))
     rho11 = np.empty(len(times))
     rho01 = np.empty(len(times), dtype=np.complex128)
     for i, t in enumerate(times):
-        ft = evolved(field0, cfg.mass, float(t), cfg.engine)
-        rho = density.reduce(ft)
+        rho = density.reduce(evolved(cfg, float(t)))
         entropy[i] = density.entropy_bits(rho)
         rho00[i] = rho.entries[0, 0].real
         rho11[i] = rho.entries[1, 1].real
         rho01[i] = rho.entries[0, 1]
     trace = density.EntropyTrace(times=times, entropy=entropy, rho00=rho00, rho01=rho01, rho11=rho11)
     return ScenarioResult(trace=trace)
-
-
-def _equal_superposition(mass: float) -> InitialSpec:
-    return InitialSpec(kind="gaussian_packet", mass=mass, center=0.0, width=1.0, spinor=(1.0, 1.0))
 
 
 def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...]:
@@ -117,80 +115,67 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
 
 
 def entropy_curve(mass: float, initial: InitialSpec, t_end: float,
-                  step: float = DEFAULT_TRACE_STEP, grid: Grid1D = DEFAULT_GRID,
-                  engine: str = "spectral") -> density.EntropyTrace:
-    cfg = ScenarioConfig(mass=mass, initial=initial, grid=grid,
-                         times=uniform_times(0.0, t_end, step), engine=engine)
+                  step: float = DEFAULT_TRACE_STEP) -> density.EntropyTrace:
+    """Entropy trace on the figure grid, sampled every step from 0 to t_end."""
+    cfg = ScenarioConfig(mass=mass, initial=initial, times=uniform_times(0.0, t_end, step))
     return run_scenario(cfg).trace
 
 
-def figure1(masses: tuple[float, ...] = (0.0, 1.0, 2.0)) -> FigureDataset:
-    """Entropy vs time on [0, 1] for the equal-chirality Gaussian, one curve per mass."""
-    times = uniform_times(0.0, 1.0, DEFAULT_TRACE_STEP)
-    series = {}
-    for m in masses:
-        trace = entropy_curve(m, _equal_superposition(m), 1.0)
-        series[f"m={m:g}"] = trace.entropy
+def distribution_dataset(figure_id: str, cfg: ScenarioConfig) -> FigureDataset:
+    """Chirality position distributions of the request's field at its one time."""
+    if len(cfg.times) != 1:
+        raise ValueError(f"distributions take one time, got {len(cfg.times)}")
+    (t,) = cfg.times
+    pm, pp = chirality_distributions(evolved(cfg, t) if t > 0 else cfg.field0)
     return FigureDataset(
-        figure_id="fig1", abscissa_label="t", abscissa=np.asarray(times),
-        series=series, metadata={"masses": tuple(masses)},
-    )
-
-
-def distribution_dataset(figure_id: str, initial: InitialSpec, t: float,
-                         grid: Grid1D = DEFAULT_GRID, engine: str = "spectral") -> FigureDataset:
-    """Chirality position distributions of the initial state evolved (at its mass) to t."""
-    field = build_initial(initial, grid)
-    if t > 0:
-        field = evolved(field, initial.mass, t, engine)
-    pm, pp = chirality_distributions(field)
-    return FigureDataset(
-        figure_id=figure_id, abscissa_label="x", abscissa=grid.x,
+        figure_id=figure_id, abscissa_label="x", abscissa=cfg.grid.x,
         series={"prob_minus": pm, "prob_plus": pp},
-        metadata={"mass": initial.mass, "t": t},
+        metadata={"mass": cfg.mass, "t": t},
     )
 
 
-def figure2_3(mass: float) -> FigureDataset:
-    """Chirality position distributions at t = 1 (fig2: m = 0, fig3: m = 1)."""
-    if mass not in (0.0, 1.0):
-        raise ValueError(f"figure2_3 is defined for mass 0 or 1, got {mass}")
-    fid = "fig2" if mass == 0.0 else "fig3"
-    return distribution_dataset(fid, _equal_superposition(mass), 1.0)
+def _snapshot(figure_id: str, initial: InitialSpec, t: float) -> FigureDataset:
+    return distribution_dataset(figure_id, ScenarioConfig(mass=initial.mass, initial=initial, times=(t,)))
 
 
-def figure4() -> FigureDataset:
-    """m = 1 entropy on [0, 2] with distribution insets at half-integer times."""
-    trace = entropy_curve(1.0, _equal_superposition(1.0), 2.0)
-    insets = tuple(
-        distribution_dataset(f"fig4_inset_t{t:g}", _equal_superposition(1.0), t)
-        for t in (0.5, 1.0, 1.5, 2.0)
-    )
+def _entropy_figure(figure_id: str, curves: dict[str, InitialSpec], t_end: float,
+                    insets: tuple[FigureDataset, ...] = (), **metadata) -> FigureDataset:
+    """Entropy vs time on [0, t_end], one series per labelled initial state."""
+    series = {label: entropy_curve(spec.mass, spec, t_end).entropy for label, spec in curves.items()}
     return FigureDataset(
-        figure_id="fig4", abscissa_label="t", abscissa=trace.times,
-        series={"S_bits": trace.entropy}, metadata={"mass": 1.0}, insets=insets,
+        figure_id=figure_id, abscissa_label="t",
+        abscissa=np.asarray(uniform_times(0.0, t_end, DEFAULT_TRACE_STEP)),
+        series=series, metadata=metadata, insets=insets,
     )
 
 
-def figure5_6() -> FigureDataset:
-    """Chiral (0, 1) initial condition, m = 1: entropy on [0, 1] plus t = 0.5 distributions."""
-    chiral = InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(0.0, 1.0))
-    trace = entropy_curve(1.0, chiral, 1.0)
-    inset = distribution_dataset("fig6", chiral, 0.5)
-    return FigureDataset(
-        figure_id="fig5", abscissa_label="t", abscissa=trace.times,
-        series={"S_bits": trace.entropy}, metadata={"mass": 1.0, "spinor": (0, 1)},
-        insets=(inset,),
-    )
+_EQUAL = {m: InitialSpec(kind="gaussian_packet", mass=m) for m in (0.0, 1.0, 2.0)}
+_CHIRAL = InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(0.0, 1.0))
 
 
+def _fig5() -> FigureDataset:
+    return _entropy_figure("fig5", {"S_bits": _CHIRAL}, 1.0, (_snapshot("fig6", _CHIRAL, 0.5),),
+                           mass=1.0, spinor=(0, 1))
+
+
+# The paper's figures, all on the figure grid, from a unit-width Gaussian at the
+# origin with equal chirality weights (1, 1) or the chiral spinor (0, 1):
+# fig1  entropy on [0, 1] of the equal-weight packet, one curve per mass 0, 1, 2;
+# fig2, fig3  its chirality distributions at t = 1 for m = 0 and m = 1;
+# fig4  the m = 1 entropy on [0, 2], with distribution insets at t = 0.5, 1, 1.5, 2;
+# fig5  the chiral packet's m = 1 entropy on [0, 1], with fig6 as its inset;
+# fig6  the chiral packet's distributions at t = 0.5 (it runs all of fig5).
 FIGURES = {
-    "fig1": figure1,
-    "fig2": lambda: figure2_3(0.0),
-    "fig3": lambda: figure2_3(1.0),
-    "fig4": figure4,
-    "fig5": figure5_6,
-    "fig6": lambda: figure5_6().insets[0],
+    "fig1": lambda: _entropy_figure("fig1", {f"m={m:g}": spec for m, spec in _EQUAL.items()}, 1.0,
+                                    masses=tuple(_EQUAL)),
+    "fig2": lambda: _snapshot("fig2", _EQUAL[0.0], 1.0),
+    "fig3": lambda: _snapshot("fig3", _EQUAL[1.0], 1.0),
+    "fig4": lambda: _entropy_figure(
+        "fig4", {"S_bits": _EQUAL[1.0]}, 2.0,
+        tuple(_snapshot(f"fig4_inset_t{t:g}", _EQUAL[1.0], t) for t in (0.5, 1.0, 1.5, 2.0)),
+        mass=1.0),
+    "fig5": _fig5,
+    "fig6": lambda: _fig5().insets[0],
 }
 
 

@@ -12,7 +12,7 @@ integral is dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 
 import numpy as np
@@ -97,13 +97,20 @@ class SpinorField:
         return self.values[CHIRALITY_PLUS]
 
 
+# The fields each initial condition kind reads besides kind and mass.
+_KIND_FIELDS = {
+    "gaussian_packet": ("center", "width", "spinor"),
+    "plane_wave": ("mode_index", "energy_sign"),
+    "positive_energy_packet": ("center", "width", "spinor"),
+}
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Declarative description of an initial state.
 
-    kind is one of "gaussian_packet", "plane_wave", "positive_energy_packet".
-    For packets, (center, width, spinor) apply; for plane waves, (mode_index,
-    energy_sign) apply.  mass is carried here because plane waves and
+    kind is a key of _KIND_FIELDS, which names the fields it reads; any other
+    field must keep its default.  mass is carried here because plane waves and
     energy-projected packets depend on it.
     """
 
@@ -116,14 +123,17 @@ class InitialSpec:
     energy_sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("gaussian_packet", "plane_wave", "positive_energy_packet"):
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
-        if self.kind != "plane_wave":
-            if self.width <= 0:
-                raise ValueError(f"width must be positive, got {self.width}")
-            if self.spinor[0] == 0 and self.spinor[1] == 0:
-                raise ValueError("spinor must be nonzero")
-        if self.kind == "plane_wave" and self.energy_sign not in (-1, 1):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("kind", "mass", *_KIND_FIELDS[self.kind]) and value != f.default:
+                raise ValueError(f"{self.kind} does not use {f.name}, got {f.name} = {value!r}")
+        if self.width <= 0:
+            raise ValueError(f"width must be positive, got {self.width}")
+        if self.spinor[0] == 0 and self.spinor[1] == 0:
+            raise ValueError("spinor must be nonzero")
+        if self.energy_sign not in (-1, 1):
             raise ValueError(f"energy_sign must be +1 or -1, got {self.energy_sign}")
         if self.mass < 0:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bessel
-from .grid import SpinorField, norm
+from .grid import Grid1D, SpinorField, norm
 
 # The correlation below is the only implementation, an FFT convolution in
 # numpy; the name is kept for callers that report which one ran.
@@ -87,6 +87,29 @@ def _smooth_taps(j: int, dt: float, dx: float, m: float):
     return same, cross
 
 
+def _check_cone(dt: float, grid: Grid1D) -> None:
+    if dt > grid.half_extent / 4.0:
+        raise ValueError(
+            f"dt = {dt} exceeds L/4 = {grid.half_extent / 4.0}; the lightcone "
+            f"would wrap around the periodic domain"
+        )
+
+
+def walk(t: float, grid: Grid1D) -> list[int]:
+    """The cells of each step evolve_to takes to reach t: whole steps of
+    round(WALK_STEP / dx) cells, the remainder last; none for t = 0.
+
+    Rejects a t that is not a whole number of cells, and a first (longest)
+    step whose lightcone would wrap around the periodic domain.
+    """
+    per_step = max(int(round(WALK_STEP / grid.dx)), 1)
+    whole, rest = divmod(_step_count(t, grid.dx), per_step)
+    steps = [per_step] * whole + ([rest] if rest else [])
+    if steps:
+        _check_cone(steps[0] * grid.dx, grid)
+    return steps
+
+
 def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
     """One propagator application: cyclic shift plus cone convolution.
 
@@ -97,11 +120,7 @@ def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
     j = _step_count(dt, grid.dx)
     if j == 0:
         return field
-    if dt > grid.half_extent / 4.0:
-        raise ValueError(
-            f"dt = {dt} exceeds L/4 = {grid.half_extent / 4.0}; the lightcone "
-            f"would wrap around the periodic domain"
-        )
+    _check_cone(dt, grid)
     # Delta term: component alpha translated by alpha*dt.  np.roll returns a
     # fresh complex128 array, so the cone sums can be added in place.
     out_minus = np.roll(field.minus, -j)
@@ -116,20 +135,9 @@ def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
 
 
 def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
-    """Evolve to time t in steps of about WALK_STEP, then renormalize.
-
-    t must be a nonnegative integer multiple of the grid spacing.  The walk
-    takes whole steps of round(WALK_STEP / dx) cells, the remainder last; a
-    time of zero cells returns the field unchanged.
-    """
-    dx = field.grid.dx
-    remaining = _step_count(t, dx)
-    if remaining == 0:
-        return field
-    per_step = max(int(round(WALK_STEP / dx)), 1)
+    """Evolve to time t along walk(t, grid), then renormalize; t = 0 returns the field."""
+    steps = walk(t, field.grid)
     out = field
-    while remaining > 0:
-        cells = min(per_step, remaining)
-        out = evolve_step(out, m, cells * dx)
-        remaining -= cells
-    return SpinorField(out.grid, out.values / np.sqrt(norm(out)))
+    for cells in steps:
+        out = evolve_step(out, m, cells * field.grid.dx)
+    return SpinorField(out.grid, out.values / np.sqrt(norm(out))) if steps else field

@@ -17,7 +17,7 @@ from dirac_decoherence.cli import (
     write_csv,
     write_svg_plot,
 )
-from dirac_decoherence.experiments import figure1
+from dirac_decoherence.experiments import FIGURES, build_initial
 
 
 def test_parse_defaults():
@@ -371,7 +371,7 @@ def test_svg_single_point_uses_marker(tmp_path):
 
 
 def test_svg_determinism(tmp_path):
-    ds = figure1(masses=(1.0,))
+    ds = FIGURES["fig1"]()
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     write_svg_plot(ds, str(a))
     write_svg_plot(ds, str(b))
@@ -443,6 +443,10 @@ def _no_work(*args, **kwargs):
     (["--kind", "plane_wave", "--mode-index", "5000"], "mode_index 5000 outside"),
     (["--engine", "kernel", "--times", "0.0390625,0.5"], "nearest commensurate value is 0.5078125"),
     (["--t-end", "5", "--t-step", "0.5", "--times", "0.5,1"], "times and t_end, t_step given together"),
+    (["--engine", "kernel", "--kind", "plane_wave", "--grid-l", "0.2", "--grid-n", "64", "--times", "0.1"],
+     "dt = 0.1 exceeds L/4 = 0.05"),
+    (["--mode-index", "5"], "gaussian_packet does not use mode_index, got mode_index = 5"),
+    (["--kind", "plane_wave", "--width", "7"], "plane_wave does not use width, got width = 7.0"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)
@@ -450,6 +454,22 @@ def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
     assert main(["entropy-curve", *args, "--output", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["entropy-curve", "distributions"])
+def test_run_builds_its_initial_state_once(tmp_path, monkeypatch, subcommand):
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build_initial(*args)
+
+    # Every module of the package that holds the name, so no call can bypass the count.
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("dirac_decoherence") and hasattr(module, "build_initial"):
+            monkeypatch.setattr(module, "build_initial", counting_build)
+    assert main([subcommand, "--t-end", "0.5", "--output", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args,key", [

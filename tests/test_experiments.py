@@ -1,19 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dirac_decoherence import density, experiments
 from dirac_decoherence.experiments import (
+    FIGURES,
     FigureDataset,
     InitialSpec,
     ScenarioConfig,
+    distribution_dataset,
     entropy_curve,
-    figure1,
-    figure2_3,
-    figure4,
-    figure5_6,
     local_max_locator,
     run_scenario,
 )
+from dirac_decoherence.grid import build_initial
 
 from oracles import binary_entropy_bits, massless_off_diagonal
 
@@ -37,6 +38,28 @@ def test_scenario_config_validation():
 def test_scenario_config_rejects_non_finite_times(times):
     with pytest.raises(ValueError, match="finite"):
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=times)
+
+
+def test_scenario_config_builds_its_initial_field_once():
+    cfg = ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 0.5))
+    expected = build_initial(cfg.initial, cfg.grid)
+    assert cfg.field0.values.tobytes() == expected.values.tobytes()
+    with pytest.raises(AttributeError):
+        cfg.field0 = expected
+    with pytest.raises(ValueError):
+        cfg.field0.values[0, 0] = 0.0
+    # field0 is left out of equality and hashing, and replace rebuilds it.
+    same = ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 0.5))
+    assert same == cfg and hash(same) == hash(cfg) and same.field0 is not cfg.field0
+    moved = replace(cfg, initial=InitialSpec(kind="gaussian_packet", mass=1.0, center=1.0))
+    moved_expected = build_initial(moved.initial, moved.grid)
+    assert moved.field0.values.tobytes() == moved_expected.values.tobytes()
+
+
+def test_distribution_dataset_takes_one_time():
+    cfg = ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(0.0, 0.5))
+    with pytest.raises(ValueError, match="one time, got 2"):
+        distribution_dataset("x", cfg)
 
 
 def test_massless_scenario_matches_closed_form():
@@ -97,7 +120,7 @@ def test_entropy_curve_rejects_step_not_dividing_range():
 
 
 def test_figure1_features():
-    data = figure1()
+    data = FIGURES["fig1"]()
     t = data.abscissa
     s0, s1, s2 = data.series["m=0"], data.series["m=1"], data.series["m=2"]
     assert all(s[0] < 1e-12 for s in (s0, s1, s2))
@@ -109,7 +132,7 @@ def test_figure1_features():
 
 
 def test_figure2_massless_distributions():
-    data = figure2_3(0.0)
+    data = FIGURES["fig2"]()
     x = data.abscissa
     pm, pp = data.series["prob_minus"], data.series["prob_plus"]
     dx = x[1] - x[0]
@@ -128,19 +151,14 @@ def test_figure3_reduced_separation():
         mp = np.sum(x * pp) / np.sum(pp)
         return mp - mm
 
-    sep0 = mean_separation(figure2_3(0.0))
-    sep1 = mean_separation(figure2_3(1.0))
+    sep0 = mean_separation(FIGURES["fig2"]())
+    sep1 = mean_separation(FIGURES["fig3"]())
     assert sep0 == pytest.approx(2.0, abs=1e-6)
     assert 0.0 < sep1 < sep0
 
 
-def test_figure2_3_invalid_mass():
-    with pytest.raises(ValueError):
-        figure2_3(2.0)
-
-
 def test_figure4_non_monotone_with_overlap():
-    data = figure4()
+    data = FIGURES["fig4"]()
     s = data.series["S_bits"]
     assert s[0] < 1e-12
     peak = np.argmax(s)
@@ -156,8 +174,8 @@ def test_figure4_non_monotone_with_overlap():
 
 
 def test_figure5_slower_than_equal_superposition():
-    chiral = figure5_6()
-    equal = figure1().series["m=1"]
+    chiral = FIGURES["fig5"]()
+    equal = FIGURES["fig1"]().series["m=1"]
     s = chiral.series["S_bits"]
     assert s[0] < 1e-12
     assert np.all(s[1:] < equal[1:])
@@ -196,8 +214,8 @@ def test_mass_ordering_of_peaks():
 
 
 def test_determinism():
-    a = figure1(masses=(1.0,))
-    b = figure1(masses=(1.0,))
+    a = FIGURES["fig1"]()
+    b = FIGURES["fig1"]()
     assert np.array_equal(a.series["m=1"], b.series["m=1"])
 
 

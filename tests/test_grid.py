@@ -155,3 +155,9 @@ def test_initial_spec_validation():
         InitialSpec(kind="gaussian_packet", width=-1.0)
     with pytest.raises(ValueError):
         InitialSpec(kind="gaussian_packet", spinor=(0.0, 0.0))
+    # A field the kind does not read must keep its default.
+    with pytest.raises(ValueError, match="positive_energy_packet does not use energy_sign"):
+        InitialSpec(kind="positive_energy_packet", energy_sign=-1)
+    with pytest.raises(ValueError, match="plane_wave does not use spinor"):
+        InitialSpec(kind="plane_wave", spinor=(1.0, 0.0))
+    InitialSpec(kind="plane_wave", spinor=(1.0 + 0.0j, 1.0 + 0.0j), mode_index=3, energy_sign=-1)

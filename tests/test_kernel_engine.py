@@ -80,6 +80,10 @@ def test_oversized_step_rejected(equal_packet):
     dt = 154 * equal_packet.grid.dx  # commensurate but beyond L/4
     with pytest.raises(ValueError, match="lightcone"):
         kernel_engine.evolve_step(equal_packet, 1.0, dt)
+    # The walk plan rejects it before any step: its first step, 16 cells of
+    # dx = 0.00625, is 0.1 > L/4 = 0.05.
+    with pytest.raises(ValueError, match="lightcone"):
+        kernel_engine.walk(0.1, Grid1D(0.2, 64))
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
@@ -127,11 +131,12 @@ def test_evolve_to_walk_steps(equal_packet, monkeypatch):
 
     monkeypatch.setattr(kernel_engine, "evolve_step", recording_step)
     out = kernel_engine.evolve_to(equal_packet, 1.0, 10 * dx)
-    assert cells == [3, 3, 3, 1]
+    assert cells == [3, 3, 3, 1] == kernel_engine.walk(10 * dx, equal_packet.grid)
     assert abs(norm(out) - 1.0) < 1e-14
 
 
 def test_evolve_to_zero_returns_field(equal_packet):
+    assert kernel_engine.walk(0.0, equal_packet.grid) == []
     assert kernel_engine.evolve_to(equal_packet, 1.0, 0.0) is equal_packet
 
 
