@@ -19,7 +19,7 @@ the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
 (for the kernel engine, a time that is not a whole number of cells), before
 any evolution; 2 a failure after the run started, such as an output that
-cannot be written.
+cannot be written or that is also the path of one of the figure's insets.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .experiments import (
     FIGURES,
     DEFAULT_GRID,
     DEFAULT_TRACE_STEP,
+    ENGINES,
     FigureDataset,
     InitialSpec,
     ScenarioConfig,
@@ -43,7 +44,7 @@ from .experiments import (
     run_scenario,
     uniform_times,
 )
-from .grid import Grid1D, make_gaussian_packet, make_plane_wave
+from .grid import KIND_FIELDS, Grid1D, make_gaussian_packet, make_plane_wave
 
 ENTROPY_HEADER = ["t", "S_bits", "rho00", "rho01_re", "rho01_im", "rho11"]
 
@@ -83,8 +84,7 @@ def _option(default, help: str, parse=float, choices: tuple = (), flag: str | No
 class CliConfig:
     subcommand: str = "entropy-curve"
     mass: float = _option(1.0, "particle mass")
-    kind: str = _option("gaussian_packet", "initial condition kind", str,
-                        ("gaussian_packet", "plane_wave", "positive_energy_packet"))
+    kind: str = _option("gaussian_packet", "initial condition kind", str, tuple(KIND_FIELDS))
     spinor_a: complex = _option(1.0 + 0.0j, "chirality -1 spinor component", _parse_complex,
                                 metavar="RE,IM")
     spinor_b: complex = _option(1.0 + 0.0j, "chirality +1 spinor component", _parse_complex,
@@ -100,7 +100,7 @@ class CliConfig:
     t_step: float = _option(DEFAULT_TRACE_STEP, "sample spacing")
     times: tuple[float, ...] | None = _option(None, "explicit sample times, in place of the range",
                                               _parse_times, metavar="T1,T2,...")
-    engine: str = _option("spectral", "evolution engine", str, ("spectral", "kernel"))
+    engine: str = _option("spectral", "evolution engine", str, ENGINES)
     figure_id: str = _option("fig1", "figure dataset to generate", str, tuple(sorted(FIGURES)),
                              flag="--id")
     output: str = _option("out.csv", "output file path: SVG plot if it ends in .svg, else CSV", str)
@@ -139,7 +139,7 @@ def _convert(subcommand: str, key: str, text: str):
     return value
 
 
-def read_config_file(path: str, subcommand: str = "entropy-curve") -> dict:
+def read_config_file(path: str, subcommand: str) -> dict:
     """Line-oriented `key = value` pairs; # starts a comment; only the subcommand's options."""
     out: dict = {}
     with open(path) as fh:
@@ -159,9 +159,12 @@ def read_config_file(path: str, subcommand: str = "entropy-curve") -> dict:
 
 
 def dump_config(cfg: CliConfig) -> str:
-    """The subcommand's options as a config file that reads back to `cfg`; the
-    range is left out when times are set, since the two may not be given together."""
-    skipped = _RANGE if cfg.times is not None else ()
+    """The subcommand's options as a config file that reads back to `cfg`.  Left out:
+    the range when times are set, since the two may not be given together, and the
+    state options the kind does not read, which InitialSpec holds at their defaults."""
+    unread = set().union(*KIND_FIELDS.values()) - set(KIND_FIELDS[cfg.kind])
+    skipped = {key for key in _STATE if ("spinor" if key.startswith("spinor_") else key) in unread}
+    skipped.update(_RANGE if cfg.times is not None else ())
     values = ((key, getattr(cfg, key)) for key in SUBCOMMAND_OPTIONS[cfg.subcommand]
               if key not in skipped)
     return "".join(f"{key} = {_format(value)}\n" for key, value in values if value is not None)
@@ -350,9 +353,8 @@ def _binary_entropy(p: float) -> float:
     return s
 
 
-def validate(flip_mass_sign: bool = False) -> int:
+def validate() -> int:
     """Fast release checks; prints one line per check, returns 0 iff all pass."""
-    coupling = -spectral.MASS_COUPLING_SIGN if flip_mass_sign else spectral.MASS_COUPLING_SIGN
     grid = DEFAULT_GRID
     checks: list[tuple[str, float, float]] = []
 
@@ -376,7 +378,7 @@ def validate(flip_mass_sign: bool = False) -> int:
 
     dt = 3 * grid.dx
     stepped = kernel_engine.evolve_step(packet, 1.0, dt)
-    exact = spectral.evolve(packet, 1.0, dt, coupling_sign=coupling)
+    exact = spectral.evolve(packet, 1.0, dt)
     rel = float(
         np.linalg.norm(stepped.values - exact.values) / np.linalg.norm(exact.values)
     )
@@ -406,11 +408,16 @@ def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
     else:
         dataset = distribution_dataset("distributions", scenario)
     extension = os.path.splitext(cfg.output)[1]
-    write = write_svg_plot if extension == ".svg" else write_csv
-    write(dataset, cfg.output)
-    directory = os.path.dirname(cfg.output)
+    targets = {cfg.output: dataset}  # every path is checked before any is written
     for inset in dataset.insets:
-        write(inset, os.path.join(directory, inset.figure_id + extension))
+        path = os.path.join(os.path.dirname(cfg.output), inset.figure_id + extension)
+        if os.path.abspath(path) == os.path.abspath(cfg.output):
+            raise ValueError(f"output {cfg.output} is also the path of {dataset.figure_id}'s "
+                             f"inset {inset.figure_id}; give the output another name")
+        targets[path] = inset
+    write = write_svg_plot if extension == ".svg" else write_csv
+    for path, data in targets.items():
+        write(data, path)
     return 0
 
 

@@ -43,10 +43,6 @@ class ReducedDensityMatrix:
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
-    @property
-    def off_diagonal(self) -> complex:
-        return complex(self.entries[0, 1])
-
 
 @dataclass(frozen=True)
 class EntropyTrace:

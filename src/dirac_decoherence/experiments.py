@@ -19,6 +19,7 @@ from .grid import Grid1D, InitialSpec, SpinorField, build_initial, chirality_dis
 
 DEFAULT_GRID = Grid1D(20.0, 1024)
 DEFAULT_TRACE_STEP = 0.01
+ENGINES = ("spectral", "kernel")
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class ScenarioConfig:
     field0: SpinorField = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.engine not in ("spectral", "kernel"):
-            raise ValueError(f"engine must be 'spectral' or 'kernel', got {self.engine!r}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.mass != self.initial.mass:
             raise ValueError(f"mass = {self.mass} differs from the initial state's "
                              f"mass = {self.initial.mass}")
@@ -58,13 +59,12 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class FigureDataset:
-    """Columns of (abscissa, named series) plus provenance metadata."""
+    """Columns of (abscissa, named series), and the datasets of its insets."""
 
     figure_id: str
     abscissa_label: str
     abscissa: np.ndarray = dc_field(repr=False)
     series: dict[str, np.ndarray] = dc_field(repr=False, default_factory=dict)
-    metadata: dict = dc_field(default_factory=dict)
     insets: tuple["FigureDataset", ...] = ()
 
     def __post_init__(self):
@@ -114,11 +114,10 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
     return tuple(t_start + i * step for i in range(n + 1))
 
 
-def entropy_curve(mass: float, initial: InitialSpec, t_end: float,
-                  step: float = DEFAULT_TRACE_STEP) -> density.EntropyTrace:
-    """Entropy trace on the figure grid, sampled every step from 0 to t_end."""
-    cfg = ScenarioConfig(mass=mass, initial=initial, times=uniform_times(0.0, t_end, step))
-    return run_scenario(cfg).trace
+def entropy_curve(initial: InitialSpec, t_end: float) -> density.EntropyTrace:
+    """Entropy trace on the figure grid, sampled every DEFAULT_TRACE_STEP from 0 to t_end."""
+    times = uniform_times(0.0, t_end, DEFAULT_TRACE_STEP)
+    return run_scenario(ScenarioConfig(mass=initial.mass, initial=initial, times=times)).trace
 
 
 def distribution_dataset(figure_id: str, cfg: ScenarioConfig) -> FigureDataset:
@@ -130,7 +129,6 @@ def distribution_dataset(figure_id: str, cfg: ScenarioConfig) -> FigureDataset:
     return FigureDataset(
         figure_id=figure_id, abscissa_label="x", abscissa=cfg.grid.x,
         series={"prob_minus": pm, "prob_plus": pp},
-        metadata={"mass": cfg.mass, "t": t},
     )
 
 
@@ -139,13 +137,12 @@ def _snapshot(figure_id: str, initial: InitialSpec, t: float) -> FigureDataset:
 
 
 def _entropy_figure(figure_id: str, curves: dict[str, InitialSpec], t_end: float,
-                    insets: tuple[FigureDataset, ...] = (), **metadata) -> FigureDataset:
+                    insets: tuple[FigureDataset, ...] = ()) -> FigureDataset:
     """Entropy vs time on [0, t_end], one series per labelled initial state."""
-    series = {label: entropy_curve(spec.mass, spec, t_end).entropy for label, spec in curves.items()}
+    traces = {label: entropy_curve(spec, t_end) for label, spec in curves.items()}
     return FigureDataset(
-        figure_id=figure_id, abscissa_label="t",
-        abscissa=np.asarray(uniform_times(0.0, t_end, DEFAULT_TRACE_STEP)),
-        series=series, metadata=metadata, insets=insets,
+        figure_id=figure_id, abscissa_label="t", abscissa=next(iter(traces.values())).times,
+        series={label: trace.entropy for label, trace in traces.items()}, insets=insets,
     )
 
 
@@ -154,8 +151,7 @@ _CHIRAL = InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(0.0, 1.0))
 
 
 def _fig5() -> FigureDataset:
-    return _entropy_figure("fig5", {"S_bits": _CHIRAL}, 1.0, (_snapshot("fig6", _CHIRAL, 0.5),),
-                           mass=1.0, spinor=(0, 1))
+    return _entropy_figure("fig5", {"S_bits": _CHIRAL}, 1.0, (_snapshot("fig6", _CHIRAL, 0.5),))
 
 
 # The paper's figures, all on the figure grid, from a unit-width Gaussian at the
@@ -166,14 +162,12 @@ def _fig5() -> FigureDataset:
 # fig5  the chiral packet's m = 1 entropy on [0, 1], with fig6 as its inset;
 # fig6  the chiral packet's distributions at t = 0.5 (it runs all of fig5).
 FIGURES = {
-    "fig1": lambda: _entropy_figure("fig1", {f"m={m:g}": spec for m, spec in _EQUAL.items()}, 1.0,
-                                    masses=tuple(_EQUAL)),
+    "fig1": lambda: _entropy_figure("fig1", {f"m={m:g}": spec for m, spec in _EQUAL.items()}, 1.0),
     "fig2": lambda: _snapshot("fig2", _EQUAL[0.0], 1.0),
     "fig3": lambda: _snapshot("fig3", _EQUAL[1.0], 1.0),
     "fig4": lambda: _entropy_figure(
         "fig4", {"S_bits": _EQUAL[1.0]}, 2.0,
-        tuple(_snapshot(f"fig4_inset_t{t:g}", _EQUAL[1.0], t) for t in (0.5, 1.0, 1.5, 2.0)),
-        mass=1.0),
+        tuple(_snapshot(f"fig4_inset_t{t:g}", _EQUAL[1.0], t) for t in (0.5, 1.0, 1.5, 2.0))),
     "fig5": _fig5,
     "fig6": lambda: _fig5().insets[0],
 }

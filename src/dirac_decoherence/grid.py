@@ -98,7 +98,7 @@ class SpinorField:
 
 
 # The fields each initial condition kind reads besides kind and mass.
-_KIND_FIELDS = {
+KIND_FIELDS = {
     "gaussian_packet": ("center", "width", "spinor"),
     "plane_wave": ("mode_index", "energy_sign"),
     "positive_energy_packet": ("center", "width", "spinor"),
@@ -109,7 +109,7 @@ _KIND_FIELDS = {
 class InitialSpec:
     """Declarative description of an initial state.
 
-    kind is a key of _KIND_FIELDS, which names the fields it reads; any other
+    kind is a key of KIND_FIELDS, which names the fields it reads; any other
     field must keep its default.  mass is carried here because plane waves and
     energy-projected packets depend on it.
     """
@@ -123,11 +123,11 @@ class InitialSpec:
     energy_sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KIND_FIELDS:
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in ("kind", "mass", *_KIND_FIELDS[self.kind]) and value != f.default:
+            if f.name not in ("kind", "mass", *KIND_FIELDS[self.kind]) and value != f.default:
                 raise ValueError(f"{self.kind} does not use {f.name}, got {f.name} = {value!r}")
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")

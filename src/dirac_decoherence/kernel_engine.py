@@ -68,12 +68,13 @@ def _step_count(dt: float, dx: float) -> int:
     return j
 
 
-def _smooth_taps(j: int, dt: float, dx: float, m: float):
-    """Trapezoid-weighted kernel taps over offsets d in [-j, j], times dx.
+def _smooth_taps(j: int, dx: float, m: float):
+    """Trapezoid-weighted taps of the step dt = j*dx over offsets d in [-j, j], times dx.
 
     The equal-chirality taps are written with J1(x)/x so the lightcone edge
     tau = 0 takes its finite analytic value.
     """
+    dt = j * dx
     d = np.arange(-j, j + 1)
     sep = d * dx
     tau = dx * np.sqrt(np.maximum(j * j - d * d, 0).astype(np.float64))
@@ -126,7 +127,7 @@ def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
     out_minus = np.roll(field.minus, -j)
     out_plus = np.roll(field.plus, j)
     if m != 0:
-        same, cross = _smooth_taps(j, j * grid.dx, grid.dx, m)
+        same, cross = _smooth_taps(j, grid.dx, m)
         out_minus += cone_correlate(field.minus, same[-1], j)
         out_minus += cone_correlate(field.plus, cross, j)
         out_plus += cone_correlate(field.plus, same[1], j)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .grid import Grid1D, SpinorField
 
-# Sign of the mass coupling in H(k).  The cross-engine check against the
-# Bessel-kernel propagator pins this choice; flipping it is a test hook.
+# Sign of the mass coupling in H(k), pinned by the cross-engine check against the
+# Bessel-kernel propagator; only the benchmark's --perturb reference flips it, via decompose.
 MASS_COUPLING_SIGN = -1.0
 
 
@@ -39,14 +39,14 @@ def dispersion(k, m: float):
     return np.sqrt(np.asarray(k, dtype=np.float64) ** 2 + m * m)
 
 
-def eigenspinor(k: float, energy_sign: int, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> np.ndarray:
+def eigenspinor(k: float, energy_sign: int, m: float) -> np.ndarray:
     """Normalized eigenspinor u(k, eps) of H(k) with a deterministic phase.
 
     Phase convention: first nonvanishing component real and nonnegative.
     """
     if energy_sign not in (-1, 1):
         raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
-    basis = eigenbasis_arrays(k=np.array([float(k)]), m=m, coupling_sign=coupling_sign)
+    basis = eigenbasis_arrays(k=np.array([float(k)]), m=m)
     u = basis.u_plus if energy_sign == 1 else basis.u_minus
     return u[:, 0].copy()
 
@@ -182,9 +182,9 @@ def evolve_modes(modes: ModeDecomposition, t: float) -> ModeDecomposition:
     )
 
 
-def evolve(field: SpinorField, m: float, t: float, coupling_sign: float = MASS_COUPLING_SIGN) -> SpinorField:
+def evolve(field: SpinorField, m: float, t: float) -> SpinorField:
     """Evolve a field exactly to time t (negative t runs backward)."""
-    return reconstruct(evolve_modes(decompose(field, m, coupling_sign), t))
+    return reconstruct(evolve_modes(decompose(field, m), t))
 
 
 def project_energy(field: SpinorField, m: float, energy_sign: int) -> SpinorField:

@@ -52,14 +52,14 @@ def test_criterion_01_massless_closed_form():
 def test_criterion_02_mass_ordering_of_early_entropy():
     s = {}
     for m in (0.0, 1.0, 2.0):
-        trace = entropy_curve(m, InitialSpec(kind="gaussian_packet", mass=m, spinor=(1.0, 1.0)), 0.2)
+        trace = entropy_curve(InitialSpec(kind="gaussian_packet", mass=m, spinor=(1.0, 1.0)), 0.2)
         s[m] = trace.entropy[-1]
     ok = s[0.0] - s[1.0] > 1e-3 and s[1.0] - s[2.0] > 1e-3
     _verdict(2, "mass ordering at t = 0.2", ok)
 
 
 def test_criterion_03_heavy_mass_local_maximum():
-    trace = entropy_curve(2.0, InitialSpec(kind="gaussian_packet", mass=2.0, spinor=(1.0, 1.0)), 1.05)
+    trace = entropy_curve(InitialSpec(kind="gaussian_packet", mass=2.0, spinor=(1.0, 1.0)), 1.05)
     found = local_max_locator(trace)
     ok = found is not None
     if ok:
@@ -71,7 +71,7 @@ def test_criterion_03_heavy_mass_local_maximum():
 
 
 def test_criterion_04_unit_mass_non_monotone():
-    trace = entropy_curve(1.0, InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(1.0, 1.0)), 2.0)
+    trace = entropy_curve(InitialSpec(kind="gaussian_packet", mass=1.0, spinor=(1.0, 1.0)), 2.0)
     peak = int(np.argmax(trace.entropy))
     ok = peak < len(trace.entropy) - 1
     ok &= float(trace.entropy[peak] - trace.entropy[-1]) > 1e-3

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dirac_decoherence import cli
+from dirac_decoherence import cli, spectral
 from dirac_decoherence.cli import (
     CliConfig,
     dump_config,
@@ -39,20 +39,21 @@ def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("masss = 2.0\n")
     with pytest.raises(ValueError, match="masss"):
-        read_config_file(str(path))
+        read_config_file(str(path), "entropy-curve")
 
 
 def test_malformed_number_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mass = heavy\n")
     with pytest.raises(ValueError, match="mass"):
-        read_config_file(str(path))
+        read_config_file(str(path), "entropy-curve")
 
 
 def test_dump_config_round_trip(tmp_path):
     for argv in (
         ["entropy-curve", "--mass", "2", "--spinor-a", "0,1", "--times", "0,0.5,1"],
         ["entropy-curve", "--spinor-a", "0.123456789,0.1", "--times", "0.1234567,0.5"],
+        ["entropy-curve", "--kind", "plane_wave", "--mode-index", "-3", "--energy-sign", "-1"],
         ["figure", "--id", "fig3", "--output", "fig3.svg"],
     ):
         cfg, _ = parse_config(argv)
@@ -79,7 +80,23 @@ REMOVED_OPTIONS_USED = {"evolve": _DISTRIBUTIONS}
 def test_dump_config_prints_only_the_subcommand_options(capsys, subcommand):
     assert main([subcommand, "--dump-config"]) == 0
     dumped = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
-    assert dumped == set(OPTIONS_USED[subcommand]) - {"times"}  # times is unset by default
+    # times is unset by default, and the default kind, a packet, reads no plane-wave option.
+    assert dumped == set(OPTIONS_USED[subcommand]) - {"times", "mode_index", "energy_sign"}
+
+
+_PACKET_OPTIONS = {"spinor_a", "spinor_b", "center", "width"}
+_WAVE_OPTIONS = {"mode_index", "energy_sign"}
+
+
+@pytest.mark.parametrize("kind,unread", [
+    ("gaussian_packet", _WAVE_OPTIONS),
+    ("plane_wave", _PACKET_OPTIONS),
+    ("positive_energy_packet", _WAVE_OPTIONS),
+])
+def test_dump_config_prints_only_the_state_options_the_kind_reads(capsys, kind, unread):
+    assert main(["distributions", "--kind", kind, "--dump-config"]) == 0
+    dumped = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert dumped == set(OPTIONS_USED["distributions"]) - unread
 
 
 def _help(capsys, argv):
@@ -275,6 +292,16 @@ def test_figure_subcommand_writes_insets(tmp_path):
         assert (tmp_path / f"fig4_inset_t{t}.csv").exists()
 
 
+@pytest.mark.parametrize("figure_id,inset", [("fig5", "fig6"), ("fig4", "fig4_inset_t1")])
+@pytest.mark.parametrize("extension", [".csv", ".svg"])
+def test_output_on_an_inset_path_exits_2_and_writes_nothing(tmp_path, capsys, figure_id, inset,
+                                                            extension):
+    out = tmp_path / (inset + extension)
+    assert main(["figure", "--id", figure_id, "--output", str(out)]) == 2
+    assert f"is also the path of {figure_id}'s inset {inset}" in capsys.readouterr().err
+    assert _written(tmp_path) == []
+
+
 def test_figure_svg_output(tmp_path):
     out = tmp_path / "fig1.svg"
     status = main(["figure", "--id", "fig1", "--output", str(out)])
@@ -386,12 +413,15 @@ def test_validate_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_validate_flipped_sign_fails(capsys):
-    status = cli.validate(flip_mass_sign=True)
-    out = capsys.readouterr().out
+def test_validate_flipped_sign_fails(capsys, monkeypatch):
+    def flipped(grid, m, sign=spectral.MASS_COUPLING_SIGN):
+        return spectral.eigenbasis_arrays(grid.k, m, -sign)
+
+    monkeypatch.setattr(spectral, "eigenbasis", flipped)
+    status = cli.validate()
+    lines = capsys.readouterr().out.splitlines()
     assert status == 1
-    assert "engine-cross-check" in out
-    assert "FAIL" in out
+    assert next(l for l in lines if l.startswith("engine-cross-check:")).endswith(" FAIL")
 
 
 def test_validate_reports_massless_deviation(capsys):

@@ -114,9 +114,9 @@ def test_time_grid_rejects_non_finite(t_start, t_end, step):
         experiments.uniform_times(t_start, t_end, step)
 
 
-def test_entropy_curve_rejects_step_not_dividing_range():
+def test_uniform_times_rejects_step_not_dividing_range():
     with pytest.raises(ValueError, match="does not divide"):
-        entropy_curve(1.0, equal_superposition(1.0), t_end=1.0, step=0.3)
+        experiments.uniform_times(0.0, 1.0, 0.3)
 
 
 def test_figure1_features():
@@ -187,12 +187,12 @@ def test_figure5_slower_than_equal_superposition():
 
 
 def test_local_max_locator():
-    trace2 = entropy_curve(2.0, equal_superposition(2.0), 1.0)
+    trace2 = entropy_curve(equal_superposition(2.0), 1.0)
     found = local_max_locator(trace2)
     assert found is not None
     t_star, s_star = found
     assert 0.0 < t_star <= 1.0
-    trace0 = entropy_curve(0.0, equal_superposition(0.0), 3.0)
+    trace0 = entropy_curve(equal_superposition(0.0), 3.0)
     assert local_max_locator(trace0) is None
     flat = density.EntropyTrace(
         times=np.arange(5.0), entropy=np.full(5, 0.3),
@@ -205,7 +205,7 @@ def test_mass_ordering_of_peaks():
     # Lighter particles decohere faster and reach higher entropy peaks.
     early, peaks = [], []
     for m in (0.5, 1.0, 2.0):
-        trace = entropy_curve(m, equal_superposition(m), 2.0)
+        trace = entropy_curve(equal_superposition(m), 2.0)
         i = np.argmin(np.abs(trace.times - 0.2))
         early.append(trace.entropy[i])
         peaks.append(trace.entropy.max())

@@ -19,7 +19,7 @@ def compose(field, m, t, n_steps):
 
 
 def test_smooth_taps_vanish_massless():
-    same, cross = kernel_engine._smooth_taps(4, 0.1, 0.025, 0.0)
+    same, cross = kernel_engine._smooth_taps(4, 0.025, 0.0)
     for taps in (same[-1], same[1], cross):
         assert np.abs(taps).max() == 0.0
 
@@ -27,21 +27,21 @@ def test_smooth_taps_vanish_massless():
 def test_smooth_taps_cross_small_time_limit():
     # One cell of width dx = 1e-9: the centre cross tap, divided by dx, is i m / 2.
     dx = 1e-9
-    _, cross = kernel_engine._smooth_taps(1, dx, dx, 1.0)
+    _, cross = kernel_engine._smooth_taps(1, dx, 1.0)
     assert cross[1] / dx == pytest.approx(0.5j, abs=1e-12)
 
 
 def test_smooth_taps_backward_edge_zero():
     # Chirality alpha has no smooth weight at separation -alpha*dt.
     j, dx = 8, 0.025
-    same, _ = kernel_engine._smooth_taps(j, j * dx, dx, 1.0)
+    same, _ = kernel_engine._smooth_taps(j, dx, 1.0)
     assert same[1][0] == 0.0
     assert same[-1][-1] == 0.0
 
 
 def test_smooth_taps_component_structure():
     # Equal-chirality taps real, cross taps purely imaginary.
-    same, cross = kernel_engine._smooth_taps(8, 0.2, 0.025, 1.5)
+    same, cross = kernel_engine._smooth_taps(8, 0.025, 1.5)
     for alpha in (-1, 1):
         assert np.isrealobj(same[alpha])
     assert np.abs(cross.real).max() == 0.0
