@@ -263,10 +263,13 @@ def write_csv(dataset: FigureDataset, path: str) -> None:
     """Serialize a dataset's columns with 12 significant digits.
 
     The abscissa column keeps 12 fixed decimals so rows sort and diff stably.
+    Columns are formatted as Python floats (tolist), which print the same
+    digits as numpy scalars and format faster.
     """
+    columns = [col.tolist() for col in (dataset.abscissa, *dataset.series.values())]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n")
-        for x, *values in zip(dataset.abscissa, *dataset.series.values()):
+        for x, *values in zip(*columns):
             fh.write(",".join([f"{x:.12f}", *map(_fmt, values)]) + "\n")
 
 

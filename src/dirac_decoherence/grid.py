@@ -60,9 +60,13 @@ class Grid1D:
 class SpinorField:
     """Two-component spinor on a grid; values[0] is chirality -1, values[1] is +1.
 
-    values is a read-only copy, so the Fourier amplitudes computed from it
-    (mode_vectors) are cached for the life of the field and never go stale:
-    a decomposed field holds one extra (2, N) complex array.
+    values is read-only: a C-contiguous complex array that is read-only and
+    owns its data is adopted as it is, and any other array (writeable, or a
+    view of memory someone else owns) is copied.  So what is computed from
+    values is cached for the life of the field and never goes stale: the
+    Fourier amplitudes (mode_vectors, one extra (2, N) complex array) and,
+    per (mass, coupling sign), the mode decomposition spectral.decompose
+    returns (one extra pair of N-complex amplitude arrays each).
     """
 
     grid: Grid1D
@@ -74,8 +78,9 @@ class SpinorField:
             raise ValueError(
                 f"values must have shape (2, {self.grid.n_points}), got {vals.shape}"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @cached_property
@@ -87,6 +92,11 @@ class SpinorField:
         psi_hat = _mode_vectors(self)
         psi_hat.flags.writeable = False
         return psi_hat
+
+    @cached_property
+    def _decompositions(self) -> dict:
+        """spectral.decompose's results for this field, keyed by (mass, coupling sign)."""
+        return {}
 
     @property
     def minus(self) -> np.ndarray:

@@ -122,17 +122,18 @@ def evolve_step(field: SpinorField, m: float, dt: float) -> SpinorField:
     if j == 0:
         return field
     _check_cone(dt, grid)
-    # Delta term: component alpha translated by alpha*dt.  np.roll returns a
-    # fresh complex128 array, so the cone sums can be added in place.
-    out_minus = np.roll(field.minus, -j)
-    out_plus = np.roll(field.plus, j)
+    # Delta term: component alpha translated by alpha*dt, stacked into the
+    # fresh array the new field adopts; the cone sums are added to its rows.
+    values = np.stack([np.roll(field.minus, -j), np.roll(field.plus, j)])
+    out_minus, out_plus = values
     if m != 0:
         same, cross = _smooth_taps(j, grid.dx, m)
         out_minus += cone_correlate(field.minus, same[-1], j)
         out_minus += cone_correlate(field.plus, cross, j)
         out_plus += cone_correlate(field.plus, same[1], j)
         out_plus += cone_correlate(field.minus, cross, j)
-    return SpinorField(grid, np.stack([out_minus, out_plus]))
+    values.flags.writeable = False  # so the field adopts it without a copy
+    return SpinorField(grid, values)
 
 
 def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
@@ -141,4 +142,8 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     out = field
     for cells in steps:
         out = evolve_step(out, m, cells * field.grid.dx)
-    return SpinorField(out.grid, out.values / np.sqrt(norm(out))) if steps else field
+    if not steps:
+        return field
+    values = out.values / np.sqrt(norm(out))
+    values.flags.writeable = False  # adopted, as in evolve_step
+    return SpinorField(out.grid, values)

@@ -12,10 +12,14 @@ i m J0 / 2.  Eigenvalues are eps*omega with omega = sqrt(k^2 + m^2), and
 evolution multiplies each mode amplitude by exp(-i eps omega t).
 
 Mode amplitudes are normalized so that sum_k,eps |amp|^2 equals the field's
-probability integral (forward transform scaled by sqrt(dx/N)).  The forward
-transform is cached per field (SpinorField.mode_vectors, read-only), so
-decomposing one field at many times takes its FFT once; a decomposed field
-holds one extra (2, N) complex array for as long as it lives.
+probability integral (forward transform scaled by sqrt(dx/N)).  Both steps
+of a decomposition are cached on the field, read-only, for as long as it
+lives: the forward transform (SpinorField.mode_vectors, one extra (2, N)
+complex array) and, per (mass, coupling sign), the projection onto the
+eigenbasis (one extra pair of N-complex amplitude arrays).  So a trace that
+evolves one field to many times takes one FFT and one projection; each
+sample pays only its phases and one inverse FFT, which reconstruct writes
+into the array it hands to the new field.
 """
 
 from __future__ import annotations
@@ -138,25 +142,41 @@ def _mode_vectors(field: SpinorField) -> np.ndarray:
 
 
 def _field_from_mode_vectors(grid: Grid1D, psi_hat: np.ndarray) -> SpinorField:
-    """Inverse of _mode_vectors; scales and signs psi_hat in place."""
+    """Inverse of _mode_vectors, in place: psi_hat becomes the field's values."""
     psi_hat[:, 1::2] *= -1
-    psi_hat /= np.sqrt(grid.dx / grid.n_points)
-    return SpinorField(grid, np.fft.ifft(psi_hat, axis=1))
+    # psi_hat /= s would run numpy's complex division, (a + b*0) * (1/s) per
+    # part.  This real multiply by 1/s gives the same bits at a fraction of the
+    # cost, except that a -0.0 part can keep the sign the division turns to
+    # +0.0; the inverse transform passes such a sign on only to zero outputs.
+    psi_hat.view(np.float64)[...] *= 1.0 / np.sqrt(grid.dx / grid.n_points)
+    for row in psi_hat:
+        np.fft.ifft(row, out=row)
+    psi_hat.flags.writeable = False  # so the field adopts it without a copy
+    return SpinorField(grid, psi_hat)
 
 
 def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> ModeDecomposition:
-    """Expand a field over the energy eigenmodes of H(k)."""
-    basis = eigenbasis(field.grid, float(m), coupling_sign)
-    psi_hat = field.mode_vectors
-    amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
-    amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
-    return ModeDecomposition(grid=field.grid, amp_plus=amp_plus, amp_minus=amp_minus, basis=basis)
+    """Expand a field over the energy eigenmodes of H(k); cached on the field, read-only."""
+    key = (float(m), coupling_sign)
+    modes = field._decompositions.get(key)
+    if modes is None:
+        basis = eigenbasis(field.grid, *key)
+        psi_hat = field.mode_vectors
+        amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
+        amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
+        amp_plus.flags.writeable = amp_minus.flags.writeable = False
+        modes = ModeDecomposition(grid=field.grid, amp_plus=amp_plus, amp_minus=amp_minus, basis=basis)
+        field._decompositions[key] = modes
+    return modes
 
 
 def reconstruct(modes: ModeDecomposition) -> SpinorField:
     """Inverse of decompose."""
     psi_hat = modes.amp_plus * modes.basis.u_plus
-    psi_hat += modes.amp_minus * modes.basis.u_minus
+    # Row by row, so the temporary is one row, not two: a sample's transient
+    # memory then mostly fits the heap the previous sample freed.
+    for row, u in zip(psi_hat, modes.basis.u_minus):
+        row += modes.amp_minus * u
     return _field_from_mode_vectors(modes.grid, psi_hat)
 
 

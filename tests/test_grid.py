@@ -161,3 +161,32 @@ def test_initial_spec_validation():
     with pytest.raises(ValueError, match="plane_wave does not use spinor"):
         InitialSpec(kind="plane_wave", spinor=(1.0, 0.0))
     InitialSpec(kind="plane_wave", spinor=(1.0 + 0.0j, 1.0 + 0.0j), mode_index=3, energy_sign=-1)
+
+
+def test_field_copies_what_its_caller_can_still_write(grid):
+    values = np.ones((2, grid.n_points), dtype=np.complex128)
+    field = SpinorField(grid, values)
+    psi_hat = field.mode_vectors.copy()
+    values[:] = 7.0
+    assert np.all(field.values == 1.0)
+    assert np.array_equal(field.mode_vectors, psi_hat)
+    with pytest.raises(ValueError):
+        field.values[0, 0] = 0.0
+    # A read-only view of writeable memory is copied too.
+    view = values.view()
+    view.flags.writeable = False
+    field = SpinorField(grid, view)
+    values[:] = 3.0
+    assert field.values is not view and np.all(field.values == 7.0)
+
+
+def test_field_adopts_a_read_only_array_it_owns(grid):
+    owned = np.ones((2, grid.n_points), dtype=np.complex128)
+    owned.flags.writeable = False
+    assert SpinorField(grid, owned).values is owned
+    view = owned[:, :]
+    assert SpinorField(grid, view).values is not view
+    fortran = np.asfortranarray(owned)
+    fortran.flags.writeable = False
+    copied = SpinorField(grid, fortran).values
+    assert copied is not fortran and copied.flags.c_contiguous

@@ -257,3 +257,46 @@ def test_mirrored_phases_equal_full_phases_bitwise(n_points, half_extent):
     assert omega[1:half].tobytes() == omega[:half:-1].tobytes()
     for t in (0.0, 0.37, 2.0, -1.5):
         assert spectral.mode_phases(omega, t).tobytes() == np.exp(-1j * omega * t).tobytes()
+
+
+def test_decomposition_is_cached_read_only_per_field_mass_and_sign(grid):
+    field = make_gaussian_packet(grid, 0.3, 1.0, (1.0, np.exp(0.9j)))
+    modes = spectral.decompose(field, 1.0)
+    assert spectral.decompose(field, 1.0) is modes
+    assert spectral.decompose(field, np.float64(1.0)) is modes
+    for amp in (modes.amp_plus, modes.amp_minus):
+        with pytest.raises(ValueError):
+            amp[0] = 0.0
+    flipped = spectral.decompose(field, 1.0, -spectral.MASS_COUPLING_SIGN)
+    heavier = spectral.decompose(field, 2.0)
+    assert flipped is not modes and heavier is not modes
+    assert spectral.decompose(field, 1.0, -spectral.MASS_COUPLING_SIGN) is flipped
+    assert spectral.decompose(field, 2.0) is heavier
+    assert spectral.decompose(field, 1.0) is modes
+    assert not np.array_equal(flipped.amp_plus, modes.amp_plus)
+    for entry in (modes, flipped, heavier):
+        for amp, u in ((entry.amp_plus, entry.basis.u_plus), (entry.amp_minus, entry.basis.u_minus)):
+            assert amp.tobytes() == np.sum(np.conj(u) * field.mode_vectors, axis=0).tobytes()
+    twin = replace(field)  # equal values, the same array even: still its own cache
+    twin_modes = spectral.decompose(twin, 1.0)
+    assert twin_modes is not modes
+    assert twin_modes.amp_plus.tobytes() == modes.amp_plus.tobytes()
+
+
+@pytest.mark.parametrize("n_points", [2, 1024, 16384])
+@pytest.mark.parametrize("massless_plane_wave", [False, True])
+def test_reconstruct_equals_out_of_place_inverse_bitwise(n_points, massless_plane_wave):
+    # A massless plane wave leaves one component exactly zero, signed zeros and all.
+    grid = Grid1D(20.0, n_points)
+    if massless_plane_wave:
+        field, m = make_plane_wave(grid, n_points // 4, 1, 0.0), 0.0
+    else:
+        field, m = random_normalized_field(grid, n_points), 1.3
+    modes = spectral.evolve_modes(spectral.decompose(field, m), 0.7)
+    psi_hat = modes.amp_plus * modes.basis.u_plus + modes.amp_minus * modes.basis.u_minus
+    psi_hat[:, 1::2] *= -1
+    psi_hat /= np.sqrt(grid.dx / grid.n_points)
+    expected = np.fft.ifft(psi_hat, axis=1)
+    values = spectral.reconstruct(modes).values
+    assert values.tobytes() == expected.tobytes()
+    assert not values.flags.writeable
