@@ -104,9 +104,11 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
         raise ValueError(f"t_start, t_end and t_step must be finite, got {t_start}, {t_end}, {step}")
     if step <= 0:
         raise ValueError(f"t_step must be positive, got {step}")
+    if t_end < t_start:
+        raise ValueError(f"t_end = {t_end} is before t_start = {t_start}")
     ratio = (t_end - t_start) / step
     n = int(round(ratio))
-    if abs(ratio - n) > 1e-9 or n < 0:
+    if abs(ratio - n) > 1e-9:
         raise ValueError(
             f"t_step = {step} does not divide [{t_start}, {t_end}] "
             f"into whole steps ({ratio:.6g} steps)"

@@ -34,8 +34,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.half_extent <= 0:
-            raise ValueError(f"half_extent must be positive, got {self.half_extent}")
+        if not 0 < self.half_extent < np.inf:
+            raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
         if self.n_points < 2 or self.n_points % 2 != 0:
             raise ValueError(
                 f"n_points must be an even integer >= 2 (the transform pairs "
@@ -63,10 +63,9 @@ class SpinorField:
     values is read-only: a C-contiguous complex array that is read-only and
     owns its data is adopted as it is, and any other array (writeable, or a
     view of memory someone else owns) is copied.  So what is computed from
-    values is cached for the life of the field and never goes stale: the
-    Fourier amplitudes (mode_vectors, one extra (2, N) complex array) and,
-    per (mass, coupling sign), the mode decomposition spectral.decompose
-    returns (one extra pair of N-complex amplitude arrays each).
+    values is cached for the life of the field and never goes stale: per
+    (mass, coupling sign), the mode decomposition spectral.decompose returns
+    (one extra (2, N) complex array of amplitudes each).
     """
 
     grid: Grid1D
@@ -82,16 +81,6 @@ class SpinorField:
             vals = vals.copy()
             vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def mode_vectors(self) -> np.ndarray:
-        """Fourier amplitudes psi_hat(k), (2, N) in FFT order; read-only, as callers share it."""
-        # Imported here to avoid a cycle: spectral builds SpinorFields too.
-        from .spectral import _mode_vectors
-
-        psi_hat = _mode_vectors(self)
-        psi_hat.flags.writeable = False
-        return psi_hat
 
     @cached_property
     def _decompositions(self) -> dict:
@@ -139,6 +128,10 @@ class InitialSpec:
             value = getattr(self, f.name)
             if f.name not in ("kind", "mass", *KIND_FIELDS[self.kind]) and value != f.default:
                 raise ValueError(f"{self.kind} does not use {f.name}, got {f.name} = {value!r}")
+        for name in ("mass", "center", "width", "spinor"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {name} = {value!r}")
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")
         if self.spinor[0] == 0 and self.spinor[1] == 0:

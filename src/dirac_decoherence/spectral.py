@@ -12,14 +12,13 @@ i m J0 / 2.  Eigenvalues are eps*omega with omega = sqrt(k^2 + m^2), and
 evolution multiplies each mode amplitude by exp(-i eps omega t).
 
 Mode amplitudes are normalized so that sum_k,eps |amp|^2 equals the field's
-probability integral (forward transform scaled by sqrt(dx/N)).  Both steps
-of a decomposition are cached on the field, read-only, for as long as it
-lives: the forward transform (SpinorField.mode_vectors, one extra (2, N)
-complex array) and, per (mass, coupling sign), the projection onto the
-eigenbasis (one extra pair of N-complex amplitude arrays).  So a trace that
-evolves one field to many times takes one FFT and one projection; each
-sample pays only its phases and one inverse FFT, which reconstruct writes
-into the array it hands to the new field.
+probability integral (forward transform scaled by sqrt(dx/N)).  A field keeps
+one cache: per (mass, coupling sign), its decomposition, whose two amplitude
+rows share one read-only (2, N) complex array; the forward transform is a
+temporary of the decompose call that fills the entry.  So a trace that
+evolves one field to many times takes one FFT and one projection; each sample
+pays only its phases and one inverse FFT, which reconstruct writes into the
+array it hands to the new field.
 """
 
 from __future__ import annotations
@@ -127,22 +126,37 @@ class ModeDecomposition:
     basis: EnergyEigenbasis = dc_field(repr=False)
 
 
-def _mode_vectors(field: SpinorField) -> np.ndarray:
-    """Fourier amplitudes psi_hat(k) as a (2, N) array in FFT order.
+def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> ModeDecomposition:
+    """Expand a field over the energy eigenmodes of H(k); cached on the field, read-only."""
+    key = (float(m), coupling_sign)
+    modes = field._decompositions.get(key)
+    if modes is None:
+        grid = field.grid
+        basis = eigenbasis(grid, *key)
+        # Fourier amplitudes psi_hat(k) in FFT order.  The grid origin sits at
+        # index N/2, so each FFT bin picks up the factor e^{-i k_j x_0} = (-1)^j
+        # relative to numpy's index-based transform.
+        psi_hat = np.fft.fft(field.values, axis=1)
+        psi_hat[:, 1::2] *= -1
+        psi_hat *= np.sqrt(grid.dx / grid.n_points)
+        amps = np.stack([
+            np.sum(np.conj(basis.u_plus) * psi_hat, axis=0),
+            np.sum(np.conj(basis.u_minus) * psi_hat, axis=0),
+        ])
+        amps.flags.writeable = False
+        modes = ModeDecomposition(grid=grid, amp_plus=amps[0], amp_minus=amps[1], basis=basis)
+        field._decompositions[key] = modes
+    return modes
 
-    The grid origin sits at index N/2, so each FFT bin picks up the factor
-    e^{-i k_j x_0} = (-1)^j relative to numpy's index-based transform.
-    Callers read the cached SpinorField.mode_vectors instead.
-    """
-    grid = field.grid
-    psi_hat = np.fft.fft(field.values, axis=1)
-    psi_hat[:, 1::2] *= -1
-    psi_hat *= np.sqrt(grid.dx / grid.n_points)
-    return psi_hat
 
-
-def _field_from_mode_vectors(grid: Grid1D, psi_hat: np.ndarray) -> SpinorField:
-    """Inverse of _mode_vectors, in place: psi_hat becomes the field's values."""
+def reconstruct(modes: ModeDecomposition) -> SpinorField:
+    """Inverse of decompose, in place: one temporary becomes the new field's values."""
+    grid = modes.grid
+    psi_hat = modes.amp_plus * modes.basis.u_plus
+    # Row by row, so the temporary is one row, not two: a sample's transient
+    # memory then mostly fits the heap the previous sample freed.
+    for row, u in zip(psi_hat, modes.basis.u_minus):
+        row += modes.amp_minus * u
     psi_hat[:, 1::2] *= -1
     # psi_hat /= s would run numpy's complex division, (a + b*0) * (1/s) per
     # part.  This real multiply by 1/s gives the same bits at a fraction of the
@@ -153,31 +167,6 @@ def _field_from_mode_vectors(grid: Grid1D, psi_hat: np.ndarray) -> SpinorField:
         np.fft.ifft(row, out=row)
     psi_hat.flags.writeable = False  # so the field adopts it without a copy
     return SpinorField(grid, psi_hat)
-
-
-def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING_SIGN) -> ModeDecomposition:
-    """Expand a field over the energy eigenmodes of H(k); cached on the field, read-only."""
-    key = (float(m), coupling_sign)
-    modes = field._decompositions.get(key)
-    if modes is None:
-        basis = eigenbasis(field.grid, *key)
-        psi_hat = field.mode_vectors
-        amp_plus = np.sum(np.conj(basis.u_plus) * psi_hat, axis=0)
-        amp_minus = np.sum(np.conj(basis.u_minus) * psi_hat, axis=0)
-        amp_plus.flags.writeable = amp_minus.flags.writeable = False
-        modes = ModeDecomposition(grid=field.grid, amp_plus=amp_plus, amp_minus=amp_minus, basis=basis)
-        field._decompositions[key] = modes
-    return modes
-
-
-def reconstruct(modes: ModeDecomposition) -> SpinorField:
-    """Inverse of decompose."""
-    psi_hat = modes.amp_plus * modes.basis.u_plus
-    # Row by row, so the temporary is one row, not two: a sample's transient
-    # memory then mostly fits the heap the previous sample freed.
-    for row, u in zip(psi_hat, modes.basis.u_minus):
-        row += modes.amp_minus * u
-    return _field_from_mode_vectors(modes.grid, psi_hat)
 
 
 def mode_phases(omega: np.ndarray, t: float) -> np.ndarray:

@@ -5,6 +5,10 @@ mpmath, so it shares no code or algorithm branch with the production
 evaluator (which switches to an asymptotic expansion for large arguments).
 J2 comes from the three-term recurrence on the oracle values.
 
+mode_vectors_reference gives a field's Fourier amplitudes by the explicit
+transform, in the operation order spectral.decompose uses, so the tests can
+check its projection bit for bit.
+
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the full 42-term series
 recurrence, and a kernel step whose cone sums lay out the taps by index
@@ -62,6 +66,15 @@ def binary_entropy_bits(p: float) -> float:
 def massless_off_diagonal(t: float) -> float:
     """Closed-form off-diagonal entry for the unit-width equal superposition."""
     return float(mpmath.exp(-mpmath.mpf(t) ** 2) / 2)
+
+
+def mode_vectors_reference(field) -> np.ndarray:
+    """psi_hat(k), (2, N) in FFT order: fft of each row, times (-1)^j for the
+    grid origin at index N/2, times sqrt(dx/N)."""
+    grid = field.grid
+    psi_hat = np.fft.fft(field.values, axis=1)
+    psi_hat[:, 1::2] *= -1
+    return psi_hat * np.sqrt(grid.dx / grid.n_points)
 
 
 def full_series(x: np.ndarray, first: float, denom) -> np.ndarray:

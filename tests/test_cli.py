@@ -477,6 +477,7 @@ def _no_work(*args, **kwargs):
      "dt = 0.1 exceeds L/4 = 0.05"),
     (["--mode-index", "5"], "gaussian_packet does not use mode_index, got mode_index = 5"),
     (["--kind", "plane_wave", "--width", "7"], "plane_wave does not use width, got width = 7.0"),
+    (["--t-start", "1", "--t-end", "0.5"], "t_end = 0.5 is before t_start = 1.0"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

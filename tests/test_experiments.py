@@ -119,6 +119,11 @@ def test_uniform_times_rejects_step_not_dividing_range():
         experiments.uniform_times(0.0, 1.0, 0.3)
 
 
+def test_uniform_times_rejects_reversed_range():
+    with pytest.raises(ValueError, match="t_end = 0.5 is before t_start = 1.0"):
+        experiments.uniform_times(1.0, 0.5, 0.1)
+
+
 def test_figure1_features():
     data = FIGURES["fig1"]()
     t = data.abscissa

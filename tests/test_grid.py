@@ -16,6 +16,8 @@ from dirac_decoherence.grid import (
     position_moments,
 )
 
+from oracles import mode_vectors_reference
+
 
 def test_grid_geometry():
     g = Grid1D(20.0, 1024)
@@ -163,13 +165,24 @@ def test_initial_spec_validation():
     InitialSpec(kind="plane_wave", spinor=(1.0 + 0.0j, 1.0 + 0.0j), mode_index=3, energy_sign=-1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["half_extent", "mass", "center", "width", "spinor"])
+def test_non_finite_value_is_rejected_naming_its_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+        if name == "half_extent":
+            Grid1D(value, 1024)
+        else:
+            InitialSpec(kind="gaussian_packet", **{name: (1.0, value) if name == "spinor" else value})
+
+
 def test_field_copies_what_its_caller_can_still_write(grid):
     values = np.ones((2, grid.n_points), dtype=np.complex128)
     field = SpinorField(grid, values)
-    psi_hat = field.mode_vectors.copy()
+    basis = spectral.eigenbasis(grid, 1.0)
+    amp_plus = np.sum(np.conj(basis.u_plus) * mode_vectors_reference(field), axis=0)
     values[:] = 7.0
     assert np.all(field.values == 1.0)
-    assert np.array_equal(field.mode_vectors, psi_hat)
+    assert np.array_equal(spectral.decompose(field, 1.0).amp_plus, amp_plus)
     with pytest.raises(ValueError):
         field.values[0, 0] = 0.0
     # A read-only view of writeable memory is copied too.

@@ -16,6 +16,8 @@ from dirac_decoherence.grid import (
     norm,
 )
 
+from oracles import mode_vectors_reference
+
 
 def random_normalized_field(grid, seed):
     rng = np.random.default_rng(seed)
@@ -118,7 +120,7 @@ def test_equal_superposition_populates_both_signs(equal_packet):
     # Direct-overlap oracle: project psi_hat(k) on each eigenspinor by hand.
     grid = equal_packet.grid
     modes = spectral.decompose(equal_packet, 1.0)
-    psi_hat = equal_packet.mode_vectors
+    psi_hat = mode_vectors_reference(equal_packet)
     basis = spectral.eigenbasis(grid, 1.0)
     by_hand_plus = np.array(
         [np.vdot(basis.u_plus[:, j], psi_hat[:, j]) for j in range(grid.n_points)]
@@ -237,18 +239,6 @@ def test_run_scenario_matches_reference_bit_for_bit(spinor):
         assert actual.tobytes() == expected.tobytes()  # signed zeros too
 
 
-def test_cached_transform_is_shared_read_only_and_per_field(equal_packet):
-    psi_hat = equal_packet.mode_vectors
-    assert equal_packet.mode_vectors is psi_hat
-    with pytest.raises(ValueError):
-        psi_hat[0, 0] = 0.0
-    copy = replace(equal_packet)
-    assert copy.mode_vectors is not psi_hat
-    assert np.array_equal(copy.mode_vectors, psi_hat)
-    shifted = replace(equal_packet, values=np.roll(equal_packet.values, 1, axis=1))
-    assert not np.array_equal(shifted.mode_vectors, psi_hat)
-
-
 @pytest.mark.parametrize("n_points", [2, 4, 1024, 16384])
 @pytest.mark.parametrize("half_extent", [20.0, 7.3])
 def test_mirrored_phases_equal_full_phases_bitwise(n_points, half_extent):
@@ -274,13 +264,26 @@ def test_decomposition_is_cached_read_only_per_field_mass_and_sign(grid):
     assert spectral.decompose(field, 2.0) is heavier
     assert spectral.decompose(field, 1.0) is modes
     assert not np.array_equal(flipped.amp_plus, modes.amp_plus)
+    psi_hat = mode_vectors_reference(field)
     for entry in (modes, flipped, heavier):
         for amp, u in ((entry.amp_plus, entry.basis.u_plus), (entry.amp_minus, entry.basis.u_minus)):
-            assert amp.tobytes() == np.sum(np.conj(u) * field.mode_vectors, axis=0).tobytes()
+            assert amp.tobytes() == np.sum(np.conj(u) * psi_hat, axis=0).tobytes()
     twin = replace(field)  # equal values, the same array even: still its own cache
     twin_modes = spectral.decompose(twin, 1.0)
     assert twin_modes is not modes
     assert twin_modes.amp_plus.tobytes() == modes.amp_plus.tobytes()
+
+
+def test_decomposed_field_holds_only_its_decompositions(grid):
+    field = make_gaussian_packet(grid, 0.3, 1.0, (1.0, np.exp(0.9j)))
+    spectral.decompose(field, 1.0)
+    spectral.decompose(field, 2.0)
+    assert set(vars(field)) == {"grid", "values", "_decompositions"}
+    assert len(field._decompositions) == 2
+    for modes in field._decompositions.values():
+        block = modes.amp_plus.base
+        assert block is modes.amp_minus.base and block.shape == (2, grid.n_points)
+        assert not block.flags.writeable
 
 
 @pytest.mark.parametrize("n_points", [2, 1024, 16384])
