@@ -1,4 +1,7 @@
-"""The cone correlation, checked against an explicit direct sum over the cone."""
+"""The cone correlation, checked against an explicit direct sum over the cone.
+
+cone_correlate takes spectra: the field's fft and the taps' tap_spectrum.
+"""
 
 import numpy as np
 import pytest
@@ -18,6 +21,11 @@ def direct_sum(psi, taps, width):
     return out
 
 
+def correlate(psi, taps, width):
+    """cone_correlate of psi's spectrum and the taps' spectrum, as evolve_step calls it."""
+    return kernel_engine.cone_correlate(np.fft.fft(psi), kernel_engine.tap_spectrum(taps, width, len(psi)), width)
+
+
 def test_backend_name_is_valid():
     assert BACKEND_NAME == "numpy"
 
@@ -31,7 +39,7 @@ def test_backends_agree(n, width):
     rng = np.random.default_rng(n + width)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     taps = rng.normal(size=2 * width + 1) + 1j * rng.normal(size=2 * width + 1)
-    a = kernel_engine.cone_correlate(psi, taps, width)
+    a = correlate(psi, taps, width)
     b = direct_sum(psi, taps, width)
     assert np.abs(a - b).max() < 1e-12
 
@@ -41,7 +49,7 @@ def test_bitwise_equal_to_out_of_place_reference(n, width):
     rng = np.random.default_rng(n + width)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     taps = rng.normal(size=2 * width + 1) + 1j * rng.normal(size=2 * width + 1)
-    out = kernel_engine.cone_correlate(psi, taps, width)
+    out = correlate(psi, taps, width)
     assert out.tobytes() == cone_correlate_reference(psi, taps, width).tobytes()
 
 
@@ -52,16 +60,22 @@ def test_read_only_inputs_unchanged(real_taps):
     taps = rng.normal(size=15) if real_taps else rng.normal(size=15) + 1j * rng.normal(size=15)
     psi_copy, taps_copy = psi.copy(), taps.copy()
     psi.flags.writeable = taps.flags.writeable = False
-    out = kernel_engine.cone_correlate(psi, taps, 7)
+    taps_hat = kernel_engine.tap_spectrum(taps, 7, 128)
+    assert not taps_hat.flags.writeable
+    psi_hat = np.fft.fft(psi)
+    psi_hat.flags.writeable = False
+    psi_hat_copy, taps_hat_copy = psi_hat.copy(), taps_hat.copy()
+    out = kernel_engine.cone_correlate(psi_hat, taps_hat, 7)
     assert out.flags.writeable
     assert psi.tobytes() == psi_copy.tobytes() and taps.tobytes() == taps_copy.tobytes()
+    assert psi_hat.tobytes() == psi_hat_copy.tobytes() and taps_hat.tobytes() == taps_hat_copy.tobytes()
 
 
 def test_numpy_reference_small_case():
     # n = 4, width = 1: out[i] = sum_j taps[j] * psi[(i - j + width) mod n].
     psi = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     taps = np.array([10.0, 100.0, 1000.0], dtype=complex)
-    out = kernel_engine.cone_correlate(psi, taps, 1)
+    out = correlate(psi, taps, 1)
     expected = np.array(
         [10 * 2 + 100 * 1 + 1000 * 4, 10 * 3 + 100 * 2 + 1000 * 1,
          10 * 4 + 100 * 3 + 1000 * 2, 10 * 1 + 100 * 4 + 1000 * 3],
@@ -72,21 +86,22 @@ def test_numpy_reference_small_case():
 
 def test_zero_width_scales():
     psi = np.arange(8, dtype=complex)
-    out = kernel_engine.cone_correlate(psi, np.array([2.0 + 0j]), 0)
+    out = correlate(psi, np.array([2.0 + 0j]), 0)
     assert np.abs(out - 2.0 * psi).max() == 0.0
 
 
+# The tap layout rejects what cannot be placed, before any spectrum exists.
 def test_negative_width_rejected():
     with pytest.raises(ValueError, match="half_width = -1"):
-        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(1, dtype=complex), -1)
+        kernel_engine.tap_spectrum(np.ones(1, dtype=complex), -1, 8)
 
 
 def test_tap_count_mismatch_rejected():
     with pytest.raises(ValueError, match="4 taps"):
-        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(4, dtype=complex), 1)
+        kernel_engine.tap_spectrum(np.ones(4, dtype=complex), 1, 8)
 
 
 def test_taps_wider_than_grid_rejected():
     # 9 taps cannot fit in 8 cells without two landing on the same offset.
-    with pytest.raises(ValueError, match="len\\(psi\\) = 8"):
-        kernel_engine.cone_correlate(np.ones(8, dtype=complex), np.ones(9, dtype=complex), 4)
+    with pytest.raises(ValueError, match="at most n = 8"):
+        kernel_engine.tap_spectrum(np.ones(9, dtype=complex), 4, 8)

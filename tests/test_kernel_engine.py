@@ -125,14 +125,42 @@ def test_evolve_to_walk_steps(equal_packet, monkeypatch):
     cells = []
     step = kernel_engine.evolve_step
 
-    def recording_step(field, m, dt):
+    def recording_step(field, m, dt, spectra=None):
         cells.append(round(dt / dx))
-        return step(field, m, dt)
+        return step(field, m, dt, spectra=spectra)
 
     monkeypatch.setattr(kernel_engine, "evolve_step", recording_step)
     out = kernel_engine.evolve_to(equal_packet, 1.0, 10 * dx)
     assert cells == [3, 3, 3, 1] == kernel_engine.walk(10 * dx, equal_packet.grid)
     assert abs(norm(out) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "n_points,cells,m,walked,builds",
+    [(1024, 10, 1.0, [3, 3, 3, 1], 2), (4096, 25, 1.3, [10, 10, 5], 2), (1024, 10, 0.0, [3, 3, 3, 1], 0)],
+)
+def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, monkeypatch):
+    # A walk of equal steps and a shorter last one gives the bits of the
+    # reference steps chained and renormalized, and builds taps once per
+    # distinct step length (never at m = 0).
+    g = Grid1D(20.0, n_points)
+    f = make_gaussian_packet(g, 0.3, 1.2, (1.0, np.exp(0.7j)))
+    assert kernel_engine.walk(cells * g.dx, g) == walked
+    values = f.values
+    for j in walked:
+        values = kernel_step_reference(values, g.dx, m, j)
+    values = values / np.sqrt(norm(SpinorField(g, values)))
+    calls = []
+    smooth_taps = kernel_engine._smooth_taps
+
+    def counting_taps(j, dx, mass):
+        calls.append(j)
+        return smooth_taps(j, dx, mass)
+
+    monkeypatch.setattr(kernel_engine, "_smooth_taps", counting_taps)
+    out = kernel_engine.evolve_to(f, m, cells * g.dx)
+    assert out.values.tobytes() == values.tobytes()
+    assert len(calls) == builds
 
 
 def test_evolve_to_zero_returns_field(equal_packet):
