@@ -3,9 +3,9 @@
 Each figure of the reference results is regenerated as a FigureDataset of
 plain numeric columns: entropy-versus-time curves for masses {0, 1, 2},
 chirality position distributions at fixed times, and the chiral initial
-condition.  Evolution always restarts from t = 0 with the spectral engine, so
-no stepping error accumulates along a trace; the kernel engine is available
-for cross-validation runs.
+condition.  Each sample evolves the request's initial field (field0) from
+t = 0 on the request's engine, spectral or kernel, so no error carries over
+from one sample to the next; t = 0 itself always goes to the spectral engine.
 """
 
 from __future__ import annotations

@@ -19,15 +19,17 @@ the independent validator of the spectral engine, which is exact in time.
 Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width; it
 differs from the direct O(N j) sum by roundoff only, at most 2e-15 times
 sum|taps| * max|psi| as measured for N from 64 to 65536.  A step transforms
-each field row once and a walk transforms each step length's three tap sets
-(same chirality -1, cross, same chirality +1) once, holding one length's
-spectra at a time; a correlation then multiplies a row spectrum by a tap
-spectrum into one fresh length-N array, inverts it in place and returns it.
-A step costs 6 length-N FFTs (2 row transforms, 4 inverses), plus 3 per
-distinct step length of the walk.
+each field row once.  A walk lays each run of equal steps' three tap sets
+(same chirality -1, cross, same chirality +1) into the rows of one (3, N)
+block and transforms each row once; a correlation then multiplies a row
+spectrum by a tap spectrum into one fresh length-N array, inverts it in
+place and returns it.  A step costs 6 length-N FFTs (2 row transforms, 4
+inverses), plus 3 per distinct step length of the walk.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -42,27 +44,9 @@ BACKEND_NAME = "numpy"
 WALK_STEP = 0.1
 
 
-def tap_spectrum(taps: np.ndarray, half_width: int, n: int) -> np.ndarray:
-    """fft(h) of the 2j + 1 taps laid out cyclically on n cells, h[d mod n] = taps[d + j].
-
-    The taps must fit in n cells, or wrapped taps would share an index.  taps
-    is only read; the spectrum returned is read-only, as a walk shares it
-    between steps.
-    """
-    if len(taps) != 2 * half_width + 1 or len(taps) > n:
-        raise ValueError(f"need 2*half_width + 1 taps, at most n = {n}; "
-                         f"got half_width = {half_width} and {len(taps)} taps")
-    h = np.zeros(n, dtype=np.complex128)
-    h[:half_width + 1] = taps[half_width:]
-    h[n - half_width:] = taps[:half_width]
-    spectrum = np.fft.fft(h, out=h)
-    spectrum.flags.writeable = False
-    return spectrum
-
-
 def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int) -> np.ndarray:
     """out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in [-j, j], by FFT,
-    from psi_hat = fft(psi) and taps_hat = tap_spectrum(taps, j, N).
+    from psi_hat = fft(psi) and taps_hat, a row of the _tap_spectra block.
 
     Both spectra are only read.  The product does not need half_width; it is
     the cone's j, which sets the N (2j + 1) multiply-adds of the direct sum
@@ -126,15 +110,25 @@ def walk(t: float, grid: Grid1D) -> list[int]:
     return steps
 
 
-def _tap_spectra(j: int, grid: Grid1D, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spectra of a j-cell step's tap sets: same chirality -1, cross, same chirality +1."""
+def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
+    """The spectra of a j-cell step's tap sets as the rows of one read-only
+    (3, N) block: same chirality -1, cross, same chirality +1.
+
+    Row r is fft(h) of its taps laid out cyclically, h[d mod N] = taps[d + j];
+    _check_cone caps j at N/8, so no two taps share a cell.
+    """
     same, cross = _smooth_taps(j, grid.dx, m)
-    return tuple(tap_spectrum(taps, j, grid.n_points) for taps in (same[-1], cross, same[1]))
+    n = grid.n_points
+    block = np.zeros((3, n), dtype=np.complex128)
+    for row, taps in zip(block, (same[-1], cross, same[1])):
+        row[:j + 1] = taps[j:]
+        row[n - j:] = taps[:j]
+        np.fft.fft(row, out=row)
+    block.flags.writeable = False  # a walk shares it between steps
+    return block
 
 
-def evolve_step(
-    field: SpinorField, m: float, dt: float, spectra: tuple[np.ndarray, ...] | None = None
-) -> SpinorField:
+def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | None = None) -> SpinorField:
     """One propagator application: cyclic shift plus cone convolution.
 
     dt must be a nonnegative integer multiple of the grid spacing and small
@@ -166,19 +160,17 @@ def evolve_step(
 def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     """Evolve to time t along walk(t, grid), then renormalize; t = 0 returns the field.
 
-    The tap spectra are built once per distinct step length; a walk's equal
-    steps come first and its one shorter step last, so only the current
-    length's spectra are held.
+    Each run of equal steps shares one build of its tap spectra (none at m = 0).
     """
     grid = field.grid
     steps = walk(t, grid)
-    out, spectra, built_for = field, None, 0
-    for cells in steps:
-        if m != 0 and cells != built_for:
-            spectra, built_for = _tap_spectra(cells, grid, m), cells
-        out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
     if not steps:
         return field
+    out = field
+    for cells, run in itertools.groupby(steps):
+        spectra = _tap_spectra(cells, grid, m) if m != 0 else None
+        for _ in run:
+            out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
     values = out.values / np.sqrt(norm(out))
     values.flags.writeable = False  # adopted, as in evolve_step
     return SpinorField(out.grid, values)

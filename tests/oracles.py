@@ -96,11 +96,16 @@ def j1_over_x_float_reference(x: np.ndarray) -> np.ndarray:
     return full_series(x, 0.5, lambda k: k * (k + 1))
 
 
-def cone_correlate_reference(psi: np.ndarray, taps: np.ndarray, j: int) -> np.ndarray:
-    """Taps placed by index array, then ifft(fft(psi) * fft(h)) out of place."""
-    n = len(psi)
+def tap_layout_reference(taps: np.ndarray, j: int, n: int) -> np.ndarray:
+    """The 2j + 1 taps placed by index array on n cells, h[d mod n] = taps[d + j]."""
     h = np.zeros(n, dtype=np.complex128)
     h[np.arange(-j, j + 1) % n] = taps
+    return h
+
+
+def cone_correlate_reference(psi: np.ndarray, taps: np.ndarray, j: int) -> np.ndarray:
+    """Taps placed by tap_layout_reference, then ifft(fft(psi) * fft(h)) out of place."""
+    h = tap_layout_reference(taps, j, len(psi))
     return np.fft.ifft(np.fft.fft(psi) * np.fft.fft(h))
 
 

@@ -1,14 +1,16 @@
 """The cone correlation, checked against an explicit direct sum over the cone.
 
-cone_correlate takes spectra: the field's fft and the taps' tap_spectrum.
+cone_correlate takes spectra: the field's fft and the fft of the taps laid out
+cyclically, as one row of the kernel engine's tap-spectra block.
 """
 
 import numpy as np
 import pytest
 
 from dirac_decoherence import BACKEND_NAME, kernel_engine
+from dirac_decoherence.grid import Grid1D
 
-from oracles import cone_correlate_reference
+from oracles import cone_correlate_reference, tap_layout_reference
 
 
 def direct_sum(psi, taps, width):
@@ -23,7 +25,8 @@ def direct_sum(psi, taps, width):
 
 def correlate(psi, taps, width):
     """cone_correlate of psi's spectrum and the taps' spectrum, as evolve_step calls it."""
-    return kernel_engine.cone_correlate(np.fft.fft(psi), kernel_engine.tap_spectrum(taps, width, len(psi)), width)
+    taps_hat = np.fft.fft(tap_layout_reference(taps, width, len(psi)))
+    return kernel_engine.cone_correlate(np.fft.fft(psi), taps_hat, width)
 
 
 def test_backend_name_is_valid():
@@ -55,20 +58,18 @@ def test_bitwise_equal_to_out_of_place_reference(n, width):
 
 @pytest.mark.parametrize("real_taps", [False, True])
 def test_read_only_inputs_unchanged(real_taps):
+    # Row 0 of the block is the spectrum of real (same chirality) taps, row 1
+    # of imaginary (cross) taps.
+    block = kernel_engine._tap_spectra(7, Grid1D(20.0, 128), 1.3)
+    assert not block.flags.writeable
+    taps_hat = block[0 if real_taps else 1]
     rng = np.random.default_rng(3)
-    psi = rng.normal(size=128) + 1j * rng.normal(size=128)
-    taps = rng.normal(size=15) if real_taps else rng.normal(size=15) + 1j * rng.normal(size=15)
-    psi_copy, taps_copy = psi.copy(), taps.copy()
-    psi.flags.writeable = taps.flags.writeable = False
-    taps_hat = kernel_engine.tap_spectrum(taps, 7, 128)
-    assert not taps_hat.flags.writeable
-    psi_hat = np.fft.fft(psi)
+    psi_hat = np.fft.fft(rng.normal(size=128) + 1j * rng.normal(size=128))
     psi_hat.flags.writeable = False
-    psi_hat_copy, taps_hat_copy = psi_hat.copy(), taps_hat.copy()
+    psi_hat_copy, block_copy = psi_hat.copy(), block.copy()
     out = kernel_engine.cone_correlate(psi_hat, taps_hat, 7)
     assert out.flags.writeable
-    assert psi.tobytes() == psi_copy.tobytes() and taps.tobytes() == taps_copy.tobytes()
-    assert psi_hat.tobytes() == psi_hat_copy.tobytes() and taps_hat.tobytes() == taps_hat_copy.tobytes()
+    assert psi_hat.tobytes() == psi_hat_copy.tobytes() and block.tobytes() == block_copy.tobytes()
 
 
 def test_numpy_reference_small_case():
@@ -88,20 +89,3 @@ def test_zero_width_scales():
     psi = np.arange(8, dtype=complex)
     out = correlate(psi, np.array([2.0 + 0j]), 0)
     assert np.abs(out - 2.0 * psi).max() == 0.0
-
-
-# The tap layout rejects what cannot be placed, before any spectrum exists.
-def test_negative_width_rejected():
-    with pytest.raises(ValueError, match="half_width = -1"):
-        kernel_engine.tap_spectrum(np.ones(1, dtype=complex), -1, 8)
-
-
-def test_tap_count_mismatch_rejected():
-    with pytest.raises(ValueError, match="4 taps"):
-        kernel_engine.tap_spectrum(np.ones(4, dtype=complex), 1, 8)
-
-
-def test_taps_wider_than_grid_rejected():
-    # 9 taps cannot fit in 8 cells without two landing on the same offset.
-    with pytest.raises(ValueError, match="at most n = 8"):
-        kernel_engine.tap_spectrum(np.ones(9, dtype=complex), 4, 8)

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +370,15 @@ def test_distributions_reproduce_figure_bytes(tmp_path, mass, figure_id):
     assert dist.read_bytes() == fig.read_bytes()
 
 
+def test_figures_match_recorded_digests(tmp_path):
+    # fig1-fig6 and their insets write the ten CSVs whose sha256 the benchmark records.
+    for figure_id in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
+        assert main(["figure", "--id", figure_id, "--output", str(tmp_path / f"{figure_id}.csv")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    digests = Path(__file__).resolve().parent.parent / "perfbench" / "figure_digests.json"
+    assert written == json.loads(digests.read_text())
+
+
 def test_entropy_curve_reproduces_figure4_columns(tmp_path):
     trace, fig = tmp_path / "trace.csv", tmp_path / "fig4.csv"
     assert main(["entropy-curve", "--mass", "1", "--t-end", "2", "--output", str(trace)]) == 0
@@ -449,6 +461,20 @@ def test_step_not_dividing_range_exit_code(tmp_path, capsys):
     assert status == 1
     assert "t_step = 0.3 does not divide [0.0, 1.0]" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_kernel_engine_requests_succeed(tmp_path):
+    # Three samples on the default grid (dx = 0.0390625), the last a [3, 3, 3, 3, 1]
+    # walk, and one distribution snapshot at that time.
+    curve, dist = tmp_path / "curve.csv", tmp_path / "dist.csv"
+    assert main(["entropy-curve", "--engine", "kernel", "--times", "0.0390625,0.078125,0.5078125",
+                 "--output", str(curve)]) == 0
+    lines = curve.read_text().splitlines()
+    assert len(lines) == 4
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0390625, 0.078125, 0.5078125]
+    assert main(["distributions", "--engine", "kernel", "--mass", "1", "--t-end", "0.5078125",
+                 "--output", str(dist)]) == 0
+    assert len(dist.read_text().splitlines()) == 1025
 
 
 def test_kernel_evolve_rejects_non_commensurate_time(tmp_path, capsys):

@@ -47,11 +47,18 @@ def test_smooth_taps_component_structure():
     assert np.abs(cross.real).max() == 0.0
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 7])
+# The grid of each step length: j = 128 on 1024 points and j = 125 on 1000
+# are the longest steps evolve_step accepts there (dt = L/4, j = N/8).
+STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000}
+
+
+@pytest.mark.parametrize("j", list(STEP_GRIDS))
 @pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
-def test_step_bitwise_equal_to_reference(grid, j, m):
+def test_step_bitwise_equal_to_reference(j, m):
     # The full Bessel series, index-array tap layout and out-of-place FFTs
-    # give the same bits as the early-stopped series and in-place transforms.
+    # give the same bits as the early-stopped series, the sliced tap block
+    # and in-place transforms.
+    grid = Grid1D(20.0, STEP_GRIDS[j])
     rng = np.random.default_rng(j)
     values = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
