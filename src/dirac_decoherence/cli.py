@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import density, kernel_engine, spectral
 from .experiments import (
     FIGURES,
     DEFAULT_GRID,
@@ -41,10 +40,11 @@ from .experiments import (
     InitialSpec,
     ScenarioConfig,
     distribution_dataset,
+    evolved,
     run_scenario,
     uniform_times,
 )
-from .grid import KIND_FIELDS, Grid1D, make_gaussian_packet, make_plane_wave
+from .grid import KIND_FIELDS, Grid1D
 
 ENTROPY_HEADER = ["t", "S_bits", "rho00", "rho01_re", "rho01_im", "rho11"]
 
@@ -357,34 +357,31 @@ def _binary_entropy(p: float) -> float:
 
 
 def validate() -> int:
-    """Fast release checks; prints one line per check, returns 0 iff all pass."""
-    grid = DEFAULT_GRID
+    """Fast release checks, each run as requests down the path entropy-curve takes;
+    prints one line per check, returns 0 iff all pass."""
     checks: list[tuple[str, float, float]] = []
 
-    packet = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
+    packet = InitialSpec(kind="gaussian_packet")
+    trace = run_scenario(ScenarioConfig(0.0, packet, times=uniform_times(0.0, 3.0, 0.25))).trace
     dev = 0.0
-    for t in uniform_times(0.0, 3.0, 0.25):
-        rho = density.reduce(spectral.evolve(packet, 0.0, t))
+    for t, rho01, entropy in zip(trace.times.tolist(), trace.rho01, trace.entropy):
         expected_off = np.exp(-t * t) / 2.0
-        dev = max(dev, abs(rho.entries[0, 1] - expected_off))
-        dev = max(dev, abs(density.entropy_bits(rho) - _binary_entropy(0.5 + expected_off)))
+        dev = max(dev, abs(rho01 - expected_off), abs(entropy - _binary_entropy(0.5 + expected_off)))
     checks.append(("massless-closed-form", dev, 1e-6))
 
     dev = 0.0
     for mode_index, eps, m in ((0, 1, 1.0), (7, -1, 0.5), (-12, 1, 2.0)):
-        wave = make_plane_wave(grid, mode_index, eps, m)
-        rho0 = density.reduce(wave).entries
-        for t in (0.7, 2.3, 5.0):
-            rho_t = density.reduce(spectral.evolve(wave, m, t)).entries
-            dev = max(dev, float(np.abs(rho_t - rho0).max()))
+        wave = InitialSpec(kind="plane_wave", mass=m, mode_index=mode_index, energy_sign=eps)
+        trace = run_scenario(ScenarioConfig(m, wave, times=(0.0, 0.7, 2.3, 5.0))).trace
+        for column in (trace.rho00, trace.rho01, trace.rho11):
+            dev = max(dev, float(np.abs(column[1:] - column[0]).max()))
     checks.append(("stationary-state", dev, 1e-9))
 
-    dt = 3 * grid.dx
-    stepped = kernel_engine.evolve_step(packet, 1.0, dt)
-    exact = spectral.evolve(packet, 1.0, dt)
-    rel = float(
-        np.linalg.norm(stepped.values - exact.values) / np.linalg.norm(exact.values)
-    )
+    dt = 3 * DEFAULT_GRID.dx
+    packet = InitialSpec(kind="gaussian_packet", mass=1.0)
+    exact, walked = (evolved(ScenarioConfig(1.0, packet, times=(dt,), engine=engine), dt).values
+                     for engine in ("spectral", "kernel"))
+    rel = float(np.linalg.norm(walked - exact) / np.linalg.norm(exact))
     checks.append(("engine-cross-check", rel, 1e-3))
 
     status = 0

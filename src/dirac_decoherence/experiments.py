@@ -107,6 +107,9 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} is before t_start = {t_start}")
     ratio = (t_end - t_start) / step
+    if not np.isfinite(ratio):
+        raise ValueError(f"t_step = {step} splits [{t_start}, {t_end}] into a step count "
+                         f"that is not finite")
     n = int(round(ratio))
     if abs(ratio - n) > 1e-9:
         raise ValueError(

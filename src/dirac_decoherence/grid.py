@@ -157,7 +157,8 @@ def make_gaussian_packet(
     """Normalized Gaussian packet exp(-(x-center)^2/(2 width^2)) times a spinor.
 
     Rejects configurations the grid cannot resolve: the packet must span at
-    least a few grid cells and decay well before the periodic boundary.
+    least a few grid cells and decay well before the periodic boundary, counted
+    from its center.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -168,10 +169,10 @@ def make_gaussian_packet(
             f"width/dx = {width / grid.dx:.3g} but at least {MIN_SIGMA_OVER_DX} "
             f"grid cells per sigma are required to resolve the packet"
         )
-    if grid.half_extent < MIN_L_OVER_SIGMA * width:
+    if grid.half_extent - abs(center) < MIN_L_OVER_SIGMA * width:
         raise ValueError(
-            f"L/sigma = {grid.half_extent / width:.3g} but at least "
-            f"{MIN_L_OVER_SIGMA} is required to keep periodic wraparound negligible"
+            f"(L - |center|)/sigma = {(grid.half_extent - abs(center)) / width:.3g} but at "
+            f"least {MIN_L_OVER_SIGMA} is required to keep periodic wraparound negligible"
         )
     envelope = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
     s = np.asarray(spinor, dtype=np.complex128)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_decoherence import cli, spectral
+from dirac_decoherence import cli, kernel_engine, spectral
 from dirac_decoherence.cli import (
     CliConfig,
     dump_config,
@@ -21,6 +21,7 @@ from dirac_decoherence.cli import (
     write_svg_plot,
 )
 from dirac_decoherence.experiments import FIGURES, build_initial
+from dirac_decoherence.grid import SpinorField
 
 
 def test_parse_defaults():
@@ -64,6 +65,14 @@ def test_dump_config_round_trip(tmp_path):
         path.write_text(dump_config(cfg))
         reparsed, _ = parse_config([argv[0], "--config", str(path)])
         assert reparsed == cfg
+    # Read back, a plane wave's dump writes the CSV bytes its flags write.
+    wave = ["entropy-curve", "--kind", "plane_wave", "--mode-index", "3"]
+    cfg, _ = parse_config(wave)
+    (tmp_path / "wave.cfg").write_text(dump_config(cfg))
+    flags, config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert main(wave + ["--output", str(flags)]) == 0
+    assert main(["entropy-curve", "--config", str(tmp_path / "wave.cfg"), "--output", str(config)]) == 0
+    assert flags.read_bytes() == config.read_bytes()
 
 
 _DISTRIBUTIONS = ("mass kind spinor_a spinor_b center width mode_index energy_sign grid_l grid_n "
@@ -320,12 +329,13 @@ def test_figure_svg_writes_insets(tmp_path):
     out = tmp_path / "fig4.svg"
     status = main(["figure", "--id", "fig4", "--output", str(out)])
     assert status == 0
+    assert out.read_text().startswith("<?xml")
     for t in ("0.5", "1", "1.5", "2"):
         text = (tmp_path / f"fig4_inset_t{t}.svg").read_text()
         assert text.startswith("<?xml")
         assert f"fig4_inset_t{t}</text>" in text
         assert "prob_minus" in text and "prob_plus" in text
-    assert not list(tmp_path.glob("*.csv"))
+    assert [p.suffix for p in tmp_path.iterdir()] == [".svg"] * 5
 
 
 _ONE_OF_EACH_JOB = [
@@ -436,6 +446,22 @@ def test_validate_flipped_sign_fails(capsys, monkeypatch):
     assert next(l for l in lines if l.startswith("engine-cross-check:")).endswith(" FAIL")
 
 
+def test_validate_cross_check_runs_the_kernel_walk(capsys, monkeypatch):
+    # The cross-check sends its kernel request through evolve_to, so a walk that is
+    # off by 1 % fails it.
+    walk = kernel_engine.evolve_to
+
+    def scaled(field, m, t):
+        out = walk(field, m, t)
+        return SpinorField(out.grid, out.values * 1.01)
+
+    monkeypatch.setattr(kernel_engine, "evolve_to", scaled)
+    status = cli.validate()
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert next(l for l in lines if l.startswith("engine-cross-check:")).endswith(" FAIL")
+
+
 def test_validate_reports_massless_deviation(capsys):
     cli.validate()
     out = capsys.readouterr().out
@@ -504,6 +530,9 @@ def _no_work(*args, **kwargs):
     (["--mode-index", "5"], "gaussian_packet does not use mode_index, got mode_index = 5"),
     (["--kind", "plane_wave", "--width", "7"], "plane_wave does not use width, got width = 7.0"),
     (["--t-start", "1", "--t-end", "0.5"], "t_end = 0.5 is before t_start = 1.0"),
+    (["--t-end", "1e300", "--t-step", "1e-300"], "t_step = 1e-300 splits [0.0, 1e+300] into a step"),
+    (["--center", "25"], "(L - |center|)/sigma = -5 but at least 6.0 is required to keep periodic "
+                         "wraparound negligible"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

@@ -106,8 +106,11 @@ def test_time_grid_rule():
         experiments.uniform_times(0.0, 1.0, 0.0)
 
 
+# The last case's step count, (t_end - t_start) / t_step, overflows to inf.  A huge
+# finite count such as 1e12 steps is not rejected: it builds one float per sample.
 @pytest.mark.parametrize("t_start,t_end,step", [
     (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan),
+    (0.0, 1e300, 1e-300),
 ])
 def test_time_grid_rejects_non_finite(t_start, t_end, step):
     with pytest.raises(ValueError, match="finite"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,17 @@ def test_packet_resolution_guards(grid):
         make_gaussian_packet(grid, 0.0, 0.05, (1.0, 1.0))
     with pytest.raises(ValueError, match="wraparound"):
         make_gaussian_packet(grid, 0.0, 5.0, (1.0, 1.0))
+
+
+def test_packet_wraparound_guard_counts_from_the_center(grid):
+    # L = 20, sigma = 1: the packet needs 6 sigma between its center and the box edge.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for center in (14.0, -14.0):
+            assert norm(make_gaussian_packet(grid, center, 1.0, (1.0, 1.0))) == pytest.approx(1.0)
+        for center in (14.5, -14.5, 25.0, 1e308):
+            with pytest.raises(ValueError, match="wraparound"):
+                make_gaussian_packet(grid, center, 1.0, (1.0, 1.0))
 
 
 def test_zero_spinor_rejected(grid):
