@@ -5,49 +5,15 @@ obtain the 2x2 chirality density matrix, and measures decoherence through its
 von Neumann entropy.  Two evolution engines cross-validate each other: a
 plane-wave spectral engine (exact in time) and a real-space propagator engine
 built from Bessel-function kernels on the lightcone interior.
+
+The top level holds the names the README documents; every other name is
+imported from its module, e.g. dirac_decoherence.spectral.decompose.
 """
 
-from .bessel import j0, j1, j1_over_x
-from .density import (
-    EntropyTrace,
-    ReducedDensityMatrix,
-    decoherence_predicate,
-    eigenvalues2,
-    entropy_bits,
-    reduce,
-    reduce_from_modes,
-)
-from .experiments import (
-    FIGURES,
-    FigureDataset,
-    ScenarioConfig,
-    ScenarioResult,
-    entropy_curve,
-    local_max_locator,
-    run_scenario,
-)
-from .grid import (
-    Grid1D,
-    InitialSpec,
-    SpinorField,
-    build_initial,
-    chirality_distributions,
-    make_gaussian_packet,
-    make_plane_wave,
-    norm,
-    position_moments,
-)
-from .kernel_engine import BACKEND_NAME, evolve_step, evolve_to
-from .spectral import (
-    EnergyEigenbasis,
-    ModeDecomposition,
-    decompose,
-    dispersion,
-    eigenbasis,
-    eigenspinor,
-    evolve,
-    project_energy,
-    reconstruct,
-)
+from .density import entropy_bits, reduce
+from .experiments import FIGURES, ScenarioConfig, run_scenario
+from .grid import Grid1D, InitialSpec, make_gaussian_packet
+from .kernel_engine import BACKEND_NAME
+from .spectral import evolve
 
 __version__ = "0.1.0"

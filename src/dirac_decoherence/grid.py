@@ -12,6 +12,7 @@ integral is dimensionless.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 
@@ -175,7 +176,10 @@ def make_gaussian_packet(
             f"least {MIN_L_OVER_SIGMA} is required to keep periodic wraparound negligible"
         )
     envelope = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
-    s = np.asarray(spinor, dtype=np.complex128)
+    # Scale the spinor by a power of two, which is exact, so that its largest part
+    # lies in [0.5, 1): the squares summed below then neither overflow nor underflow.
+    parts = np.asarray(spinor, dtype=np.complex128).view(np.float64)
+    s = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
     values = s[:, None] * envelope[None, :]
     total = np.sum(np.abs(values) ** 2) * grid.dx
     values /= np.sqrt(total)
@@ -187,6 +191,10 @@ def make_plane_wave(grid: Grid1D, mode_index: int, energy_sign: int, mass: float
     # Imported here to avoid a cycle: spectral builds SpinorFields too.
     from .spectral import eigenspinor
 
+    try:
+        mode_index = operator.index(mode_index)
+    except TypeError:
+        raise ValueError(f"mode_index must be an integer, got {mode_index!r}") from None
     n = grid.n_points
     if not (-n // 2 <= mode_index < n // 2):
         raise ValueError(
@@ -210,7 +218,7 @@ def build_initial(spec: InitialSpec, grid: Grid1D) -> SpinorField:
     from .spectral import project_energy
 
     packet = make_gaussian_packet(grid, spec.center, spec.width, spec.spinor)
-    projected = project_energy(packet, spec.mass, +1)
+    projected = project_energy(packet, spec.mass)
     total = norm(projected)
     if total <= 0:
         raise ValueError("packet has no positive-energy content")

@@ -196,16 +196,12 @@ def evolve(field: SpinorField, m: float, t: float) -> SpinorField:
     return reconstruct(evolve_modes(decompose(field, m), t))
 
 
-def project_energy(field: SpinorField, m: float, energy_sign: int) -> SpinorField:
-    """Keep only the modes of one energy sign; idempotent, sums to identity."""
-    if energy_sign not in (-1, 1):
-        raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
+def project_energy(field: SpinorField, m: float) -> SpinorField:
+    """Keep only the positive-energy modes; idempotent."""
     modes = decompose(field, m)
-    zero = np.zeros_like(modes.amp_plus)
-    kept = ModeDecomposition(
+    return reconstruct(ModeDecomposition(
         grid=modes.grid,
-        amp_plus=modes.amp_plus if energy_sign == 1 else zero,
-        amp_minus=modes.amp_minus if energy_sign == -1 else zero,
+        amp_plus=modes.amp_plus,
+        amp_minus=np.zeros_like(modes.amp_minus),
         basis=modes.basis,
-    )
-    return reconstruct(kept)
+    ))

@@ -481,6 +481,16 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert out.exists()
 
 
+def test_spinor_of_any_size_runs(tmp_path):
+    # Squaring 1e200 would overflow; normalized, the packet is the one (1, 0) gives.
+    huge, unit = tmp_path / "huge.csv", tmp_path / "unit.csv"
+    args = ["entropy-curve", "--spinor-b", "0,0", "--times", "0.1", "--output"]
+    assert main([*args, str(huge), "--spinor-a=1e200,0"]) == 0
+    assert main([*args, str(unit), "--spinor-a=1,0"]) == 0
+    rows = [np.loadtxt(path, delimiter=",", skiprows=1) for path in (huge, unit)]
+    assert np.abs(rows[0] - rows[1]).max() < 1e-12
+
+
 def test_step_not_dividing_range_exit_code(tmp_path, capsys):
     status = main(["entropy-curve", "--t-end", "1", "--t-step", "0.3",
                    "--output", str(tmp_path / "x.csv")])

@@ -196,7 +196,7 @@ def test_entropy_swap_symmetry(grid):
 def test_decoherence_predicate(grid, equal_packet):
     single = spectral.decompose(make_plane_wave(grid, 5, 1, 1.0), 1.0)
     assert not density.decoherence_predicate(single, 1e-10)
-    projected = spectral.project_energy(equal_packet, 1.0, 1)
+    projected = spectral.project_energy(equal_packet, 1.0)
     proj_modes = spectral.decompose(projected, 1.0)
     assert not density.decoherence_predicate(proj_modes, 1e-10)
     assert density.decoherence_predicate(spectral.decompose(equal_packet, 1.0), 1e-6)
@@ -206,9 +206,7 @@ def test_decoherence_predicate(grid, equal_packet):
 
 def test_predicate_soundness(grid):
     # No shared-momentum pairs above 1e-10 implies a frozen density matrix.
-    projected = spectral.project_energy(
-        make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0, 1
-    )
+    projected = spectral.project_energy(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0)
     values = projected.values / np.sqrt(np.sum(np.abs(projected.values) ** 2) * grid.dx)
     f = SpinorField(grid, values)
     modes = spectral.decompose(f, 1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_decoherence import density, spectral
+from dirac_decoherence.experiments import ScenarioConfig
 from dirac_decoherence.grid import (
     Grid1D,
     InitialSpec,
@@ -38,6 +39,14 @@ def test_grid_rejects_odd_or_tiny_n():
 
 def test_gaussian_packet_normalized(grid):
     f = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 0.0))
+    assert norm(f) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spinor", [(1e160, 0.0), (1e154, 1e154), (1e-160, 0.0), (1e-200, 0.0), (1e-310, 0.0)])
+def test_gaussian_packet_normalizes_any_spinor_size(grid, spinor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = make_gaussian_packet(grid, 0.0, 1.0, spinor)
     assert norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -106,6 +115,17 @@ def test_plane_wave_mode_range(grid):
     with pytest.raises(ValueError):
         make_plane_wave(grid, 512, 1, 1.0)
     make_plane_wave(grid, -512, 1, 1.0)  # Nyquist mode belongs to negative k
+
+
+@pytest.mark.parametrize("mode_index", [3.5, 3.0])
+def test_plane_wave_mode_index_must_be_an_integer(grid, mode_index):
+    with pytest.raises(ValueError, match="mode_index must be an integer"):
+        make_plane_wave(grid, mode_index, 1, 1.0)
+    spec = InitialSpec(kind="plane_wave", mass=1.0, mode_index=mode_index)
+    with pytest.raises(ValueError, match="mode_index must be an integer"):
+        ScenarioConfig(mass=1.0, initial=spec, times=(1.0,))
+    assert np.array_equal(make_plane_wave(grid, np.int64(3), 1, 1.0).values,
+                          make_plane_wave(grid, 3, 1, 1.0).values)
 
 
 def test_distributions_consistent_with_density(equal_packet):
