@@ -422,20 +422,18 @@ def _run(cfg: CliConfig, scenario: ScenarioConfig | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    status = 1  # until the run starts; 2 after
     try:
         cfg, dump = parse_config(argv)
         scenario = _validate_config(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if dump:
-        sys.stdout.write(dump_config(cfg))
-        return 0
-    try:
+        if dump:
+            sys.stdout.write(dump_config(cfg))
+            return 0
+        status = 2
         return _run(cfg, scenario)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return status
 
 
 if __name__ == "__main__":

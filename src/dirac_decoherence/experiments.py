@@ -99,7 +99,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...]:
-    """Samples t_start + i*step up to t_end; step must divide the range."""
+    """Samples t_start + i*step up to t_end; step must divide the range into
+    fewer than 2**53 steps (from there every float is whole)."""
     if not np.all(np.isfinite((t_start, t_end, step))):
         raise ValueError(f"t_start, t_end and t_step must be finite, got {t_start}, {t_end}, {step}")
     if step <= 0:
@@ -107,9 +108,9 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} is before t_start = {t_start}")
     ratio = (t_end - t_start) / step
-    if not np.isfinite(ratio):
+    if not ratio < 2.0**53:
         raise ValueError(f"t_step = {step} splits [{t_start}, {t_end}] into a step count "
-                         f"that is not finite")
+                         f"of {ratio:.6g}, not a finite count below 2**53")
     n = int(round(ratio))
     if abs(ratio - n) > 1e-9:
         raise ValueError(

@@ -37,6 +37,10 @@ class Grid1D:
     def __post_init__(self):
         if not 0 < self.half_extent < np.inf:
             raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
+        try:
+            operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
         if self.n_points < 2 or self.n_points % 2 != 0:
             raise ValueError(
                 f"n_points must be an even integer >= 2 (the transform pairs "

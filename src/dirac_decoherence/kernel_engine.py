@@ -34,8 +34,6 @@ inverses), plus 3 per distinct step length of the walk.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import bessel
@@ -62,7 +60,10 @@ def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int) -
 
 
 def _step_count(dt: float, dx: float) -> int:
+    """dt in whole cells of dx, below 2**53 (where every float is whole)."""
     ratio = dt / dx
+    if not abs(ratio) < 2.0**53:
+        raise ValueError(f"dt = {dt} is not below 2**53 cells of dx = {dx}")
     j = int(round(ratio))
     if abs(ratio - j) > 1e-9 or j < 0:
         raise ValueError(
@@ -100,19 +101,19 @@ def _check_cone(dt: float, grid: Grid1D) -> None:
         )
 
 
-def walk(t: float, grid: Grid1D) -> list[int]:
-    """The cells of each step evolve_to takes to reach t: whole steps of
-    round(WALK_STEP / dx) cells, the remainder last; none for t = 0.
-
-    Rejects a t that is not a whole number of cells, and a first (longest)
+def walk(t: float, grid: Grid1D) -> list[tuple[int, int]]:
+    """The steps evolve_to takes to reach t as (cells, count) runs, longest first:
+    whole steps of round(WALK_STEP / dx) cells, then one of the remainder; no
+    empty run, so none for t = 0.  Rejects, at a cost that does not grow with t,
+    a t that is not a whole number of cells below 2**53, and a first (longest)
     step whose lightcone would wrap around the periodic domain.
     """
     per_step = max(int(round(WALK_STEP / grid.dx)), 1)
     whole, rest = divmod(_step_count(t, grid.dx), per_step)
-    steps = [per_step] * whole + ([rest] if rest else [])
-    if steps:
-        _check_cone(steps[0] * grid.dx, grid)
-    return steps
+    runs = [(cells, count) for cells, count in ((per_step, whole), (rest, 1)) if cells and count]
+    if runs:
+        _check_cone(runs[0][0] * grid.dx, grid)
+    return runs
 
 
 def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
@@ -168,13 +169,13 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     Each run of equal steps shares one build of its tap spectra (none at m = 0).
     """
     grid = field.grid
-    steps = walk(t, grid)
-    if not steps:
+    runs = walk(t, grid)
+    if not runs:
         return field
     out = field
-    for cells, run in itertools.groupby(steps):
+    for cells, count in runs:
         spectra = _tap_spectra(cells, grid, m) if m != 0 else None
-        for _ in run:
+        for _ in range(count):
             out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
     values = out.values / np.sqrt(norm(out))
     values.flags.writeable = False  # adopted, as in evolve_step

@@ -90,8 +90,6 @@ def eigenbasis_arrays(k: np.ndarray, m: float, coupling_sign: float = MASS_COUPL
         # k -> 0+ massless limit: u(+1) = (0, 1), u(-1) = (1, 0).
         degenerate = nrm == 0.0
         if np.any(degenerate):
-            v = v.copy()
-            nrm = nrm.copy()
             v[0 if eps == -1 else 1, degenerate] = 1.0
             nrm[degenerate] = 1.0
         v = v / nrm

@@ -543,6 +543,9 @@ def _no_work(*args, **kwargs):
     (["--t-end", "1e300", "--t-step", "1e-300"], "t_step = 1e-300 splits [0.0, 1e+300] into a step"),
     (["--center", "25"], "(L - |center|)/sigma = -5 but at least 6.0 is required to keep periodic "
                          "wraparound negligible"),
+    (["--t-end", "1e300", "--t-step", "1e-3"], "t_step = 0.001 splits [0.0, 1e+300] into a step count "
+                                               "of 1e+303, not a finite count below 2**53"),
+    (["--engine", "kernel", "--times", "1e300"], "dt = 1e+300 is not below 2**53 cells of dx = 0.0390625"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

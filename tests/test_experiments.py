@@ -93,6 +93,11 @@ def test_engines_agree_on_entropy():
     assert abs(s_spectral - s_kernel) < 2e-3
 
 
+def test_kernel_check_does_not_grow_with_time():
+    # t = 1e8 on the figure grid is 8.5e8 steps; checking it plans two runs.
+    ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(1e8,), engine="kernel")
+
+
 def test_kernel_engine_rejects_non_commensurate_times():
     with pytest.raises(ValueError, match="commensurate"):
         ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(1.0,), engine="kernel")
@@ -106,11 +111,12 @@ def test_time_grid_rule():
         experiments.uniform_times(0.0, 1.0, 0.0)
 
 
-# The last case's step count, (t_end - t_start) / t_step, overflows to inf.  A huge
-# finite count such as 1e12 steps is not rejected: it builds one float per sample.
+# The last three cases' step counts, (t_end - t_start) / t_step, are inf, 1e303
+# and 2**53, where every float is whole.  A count below that, such as 1e12
+# steps, is not rejected: it builds one float per sample.
 @pytest.mark.parametrize("t_start,t_end,step", [
     (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan),
-    (0.0, 1e300, 1e-300),
+    (0.0, 1e300, 1e-300), (0.0, 1e300, 1e-3), (0.0, 2.0**53, 1.0),
 ])
 def test_time_grid_rejects_non_finite(t_start, t_end, step):
     with pytest.raises(ValueError, match="finite"):

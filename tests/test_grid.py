@@ -37,6 +37,16 @@ def test_grid_rejects_odd_or_tiny_n():
         Grid1D(20.0, 0)
 
 
+@pytest.mark.parametrize("n_points", [1024.0, 2.5])
+def test_grid_rejects_non_integer_n(n_points):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        Grid1D(20.0, n_points)
+
+
+def test_grid_accepts_numpy_integer_n():
+    assert Grid1D(20.0, np.int64(1024)).k.tobytes() == Grid1D(20.0, 1024).k.tobytes()
+
+
 def test_gaussian_packet_normalized(grid):
     f = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 0.0))
     assert norm(f) == pytest.approx(1.0, abs=1e-12)

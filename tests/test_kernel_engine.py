@@ -138,13 +138,15 @@ def test_evolve_to_walk_steps(equal_packet, monkeypatch):
 
     monkeypatch.setattr(kernel_engine, "evolve_step", recording_step)
     out = kernel_engine.evolve_to(equal_packet, 1.0, 10 * dx)
-    assert cells == [3, 3, 3, 1] == kernel_engine.walk(10 * dx, equal_packet.grid)
+    assert cells == [3, 3, 3, 1]
+    assert kernel_engine.walk(10 * dx, equal_packet.grid) == [(3, 3), (1, 1)]
     assert abs(norm(out) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize(
     "n_points,cells,m,walked,builds",
-    [(1024, 10, 1.0, [3, 3, 3, 1], 2), (4096, 25, 1.3, [10, 10, 5], 2), (1024, 10, 0.0, [3, 3, 3, 1], 0)],
+    [(1024, 10, 1.0, [(3, 3), (1, 1)], 2), (4096, 25, 1.3, [(10, 2), (5, 1)], 2),
+     (1024, 10, 0.0, [(3, 3), (1, 1)], 0)],
 )
 def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, monkeypatch):
     # A walk of equal steps and a shorter last one gives the bits of the
@@ -154,8 +156,9 @@ def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, mo
     f = make_gaussian_packet(g, 0.3, 1.2, (1.0, np.exp(0.7j)))
     assert kernel_engine.walk(cells * g.dx, g) == walked
     values = f.values
-    for j in walked:
-        values = kernel_step_reference(values, g.dx, m, j)
+    for j, count in walked:
+        for _ in range(count):
+            values = kernel_step_reference(values, g.dx, m, j)
     values = values / np.sqrt(norm(SpinorField(g, values)))
     calls = []
     smooth_taps = kernel_engine._smooth_taps
@@ -168,6 +171,35 @@ def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, mo
     out = kernel_engine.evolve_to(f, m, cells * g.dx)
     assert out.values.tobytes() == values.tobytes()
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("n_points", [1024, 4096])
+def test_walk_runs_expand_to_the_step_list(n_points):
+    # Every time of up to 3N cells: the runs, expanded, are the steps
+    # [p] * q + [r] of q whole steps of p cells and a remainder r < p.
+    g = Grid1D(20.0, n_points)
+    p = round(kernel_engine.WALK_STEP / g.dx)
+    for c in range(3 * n_points + 1):
+        q, r = divmod(c, p)
+        runs = kernel_engine.walk(c * g.dx, g)
+        assert [cells for cells, count in runs for _ in range(count)] == [p] * q + ([r] if r else [])
+
+
+def test_walk_checks_any_time_at_once(grid):
+    # A million cells is two runs, and so is a time just short of 2**53 cells
+    # (dx = 1/32 keeps it exact); 2**53 cells, where every float is whole, is
+    # rejected.
+    assert kernel_engine.walk(1e6 * grid.dx, grid) == [(3, 333333), (1, 1)]
+    g = Grid1D(16.0, 1024)
+    assert kernel_engine.walk((2**53 - 1) * g.dx, g) == [(3, (2**53 - 1) // 3), (1, 1)]
+    with pytest.raises(ValueError, match="is not below 2\\*\\*53 cells"):
+        kernel_engine.walk(2.0**53 * g.dx, g)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_non_finite_dt_rejected(equal_packet, dt):
+    with pytest.raises(ValueError, match=f"dt = {dt} is not below 2"):
+        kernel_engine.evolve_step(equal_packet, 1.0, dt)
 
 
 def test_evolve_to_zero_returns_field(equal_packet):
