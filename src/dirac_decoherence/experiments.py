@@ -28,8 +28,8 @@ class ScenarioConfig:
 
     mass: float
     initial: InitialSpec
+    times: tuple[float, ...]
     grid: Grid1D = DEFAULT_GRID
-    times: tuple[float, ...] = ()
     engine: str = "spectral"
     field0: SpinorField = dc_field(init=False, compare=False, repr=False)
 
@@ -100,11 +100,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...]:
     """Samples t_start + i*step up to t_end; step must divide the range into
-    fewer than 2**53 steps (from there every float is whole)."""
-    if not np.all(np.isfinite((t_start, t_end, step))):
-        raise ValueError(f"t_start, t_end and t_step must be finite, got {t_start}, {t_end}, {step}")
-    if step <= 0:
-        raise ValueError(f"t_step must be positive, got {step}")
+    fewer than 2**53 steps (from there every float is whole).  A non-finite
+    end gives a non-finite step count, which is rejected with it."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"t_step must be positive and finite, got {step}")
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} is before t_start = {t_start}")
     ratio = (t_end - t_start) / step
@@ -117,7 +116,7 @@ def uniform_times(t_start: float, t_end: float, step: float) -> tuple[float, ...
             f"t_step = {step} does not divide [{t_start}, {t_end}] "
             f"into whole steps ({ratio:.6g} steps)"
         )
-    return tuple(t_start + i * step for i in range(n + 1))
+    return tuple((t_start + step * np.arange(n + 1)).tolist())
 
 
 def entropy_curve(initial: InitialSpec, t_end: float) -> density.EntropyTrace:

@@ -53,6 +53,13 @@ def test_malformed_number_rejected(tmp_path):
         read_config_file(str(path), "entropy-curve")
 
 
+def test_config_line_without_equals_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# masses\nmass 2\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:2: expected 'key = value', got 'mass 2'"):
+        read_config_file(str(path), "entropy-curve")
+
+
 def test_dump_config_round_trip(tmp_path):
     for argv in (
         ["entropy-curve", "--mass", "2", "--spinor-a", "0,1", "--times", "0,0.5,1"],
@@ -419,6 +426,16 @@ def test_svg_single_point_uses_marker(tmp_path):
     assert "<path" not in text
 
 
+def test_svg_of_empty_dataset_rejected(tmp_path):
+    from dirac_decoherence.experiments import FigureDataset
+
+    ds = FigureDataset(figure_id="empty", abscissa_label="t", abscissa=np.array([]))
+    out = tmp_path / "empty.svg"
+    with pytest.raises(ValueError, match="cannot plot an empty dataset"):
+        write_svg_plot(ds, str(out))
+    assert not out.exists()
+
+
 def test_svg_determinism(tmp_path):
     ds = FIGURES["fig1"]()
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -433,6 +450,14 @@ def test_validate_passes(capsys):
     assert status == 0
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_validate_subcommand_prints_three_passes(capsys):
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "massless-closed-form", "stationary-state", "engine-cross-check"]
+    assert all(line.endswith(" PASS") for line in lines)
 
 
 def test_validate_flipped_sign_fails(capsys, monkeypatch):
@@ -546,6 +571,7 @@ def _no_work(*args, **kwargs):
     (["--t-end", "1e300", "--t-step", "1e-3"], "t_step = 0.001 splits [0.0, 1e+300] into a step count "
                                                "of 1e+303, not a finite count below 2**53"),
     (["--engine", "kernel", "--times", "1e300"], "dt = 1e+300 is not below 2**53 cells of dx = 0.0390625"),
+    (["--spinor-a", "1"], "bad value for 'spinor_a': expected 're,im', got '1'"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

@@ -67,6 +67,22 @@ def test_density_matrix_invariants_enforced():
         rdm([[0.5, 0.6], [0.6, 0.5]])
 
 
+def test_density_matrix_must_be_2x2():
+    with pytest.raises(ValueError, match=r"entries must be 2x2, got shape \(3, 3\)"):
+        rdm(np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("entropy,message", [
+    ([0.0, 0.5], "entropy length does not match times"),
+    ([0.0, 1.5, 0.0], r"entropy samples outside \[0, 1\]"),
+])
+def test_entropy_trace_rejects_bad_entropy(entropy, message):
+    zeros = np.zeros(3)
+    with pytest.raises(ValueError, match=message):
+        density.EntropyTrace(times=np.arange(3.0), entropy=np.array(entropy),
+                             rho00=zeros, rho01=zeros, rho11=zeros)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_density_matrix_rejects_non_finite_entries(bad):
     # NaN fails every tolerance comparison, so only an explicit check stops it.

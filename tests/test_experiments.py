@@ -112,8 +112,11 @@ def test_time_grid_rule():
 
 
 # The last three cases' step counts, (t_end - t_start) / t_step, are inf, 1e303
-# and 2**53, where every float is whole.  A count below that, such as 1e12
-# steps, is not rejected: it builds one float per sample.
+# and 2**53, where every float is whole.  A count below that is not rejected:
+# the grid is one numpy array built after the count check, so a count the host
+# cannot allocate, such as 1e12 steps, fails at once with a MemoryError.  No
+# test runs that case: whether the allocation is refused depends on the host's
+# memory overcommit policy.
 @pytest.mark.parametrize("t_start,t_end,step", [
     (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan),
     (0.0, 1e300, 1e-300), (0.0, 1e300, 1e-3), (0.0, 2.0**53, 1.0),

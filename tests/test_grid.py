@@ -88,9 +88,19 @@ def test_packet_wraparound_guard_counts_from_the_center(grid):
                 make_gaussian_packet(grid, center, 1.0, (1.0, 1.0))
 
 
+def test_gaussian_packet_rejects_non_positive_width(grid):
+    with pytest.raises(ValueError, match="width must be positive, got -1.0"):
+        make_gaussian_packet(grid, 0.0, -1.0, (1.0, 1.0))
+
+
 def test_zero_spinor_rejected(grid):
     with pytest.raises(ValueError):
         make_gaussian_packet(grid, 0.0, 1.0, (0.0, 0.0))
+
+
+def test_field_rejects_wrong_shape(grid):
+    with pytest.raises(ValueError, match=r"values must have shape \(2, 1024\), got \(2, 512\)"):
+        SpinorField(grid, np.zeros((2, 512)))
 
 
 def test_norm_zero_field(grid):
@@ -181,6 +191,14 @@ def test_positive_energy_packet_disperses(grid):
     assert var2 > var0
 
 
+def test_positive_energy_packet_without_positive_energy_content_rejected(grid):
+    # At m = 1e20 the projection onto positive energies rounds to zero in every mode.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="packet has no positive-energy content"):
+            build_initial(InitialSpec(kind="positive_energy_packet", mass=1e20), grid)
+
+
 def test_reflection_symmetry(grid):
     # Parity in the chiral basis: x -> -x together with swapping components.
     a, b = 0.8 + 0.1j, 0.3 - 0.2j
@@ -206,6 +224,11 @@ def test_initial_spec_validation():
     with pytest.raises(ValueError, match="plane_wave does not use spinor"):
         InitialSpec(kind="plane_wave", spinor=(1.0, 0.0))
     InitialSpec(kind="plane_wave", spinor=(1.0 + 0.0j, 1.0 + 0.0j), mode_index=3, energy_sign=-1)
+
+
+def test_plane_wave_spec_rejects_zero_energy_sign():
+    with pytest.raises(ValueError, match=r"energy_sign must be \+1 or -1, got 0"):
+        InitialSpec(kind="plane_wave", energy_sign=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -52,6 +52,11 @@ def test_rest_frame_eigenspinors():
     assert abs(np.vdot(u_plus, u_minus)) < 1e-14
 
 
+def test_eigenspinor_rejects_zero_energy_sign():
+    with pytest.raises(ValueError, match=r"energy_sign must be \+1 or -1, got 0"):
+        spectral.eigenspinor(0.5, 0, 1.0)
+
+
 def test_eigenbasis_orthonormal_and_eigen(grid):
     for m in (0.0, 0.5, 2.0):
         basis = spectral.eigenbasis(grid, m)
