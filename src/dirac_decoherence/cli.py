@@ -19,12 +19,15 @@ the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
 (for the kernel engine, a time that is not a whole number of cells), before
 any evolution; 2 a failure after the run started, such as an output that
-cannot be written or that is also the path of one of the figure's insets.
+cannot be written or that is also the path of one of the figure's insets.  A
+request the host has no memory for (say, a sample grid of 1e12 times) prints
+one error line like any other and exits 1 or 2 by the same rule.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -177,7 +180,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parse_args reads it and writes only
+    its own namespace, so no value carries over from one call to the next."""
     parser = _ArgumentParser(
         prog="dirac-decoherence",
         description="Chirality decoherence of a 1+1D Dirac particle.",
@@ -255,22 +261,19 @@ def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
     return ScenarioConfig(mass=cfg.mass, initial=initial, grid=grid, times=times, engine=cfg.engine)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def write_csv(dataset: FigureDataset, path: str) -> None:
     """Serialize a dataset's columns with 12 significant digits.
 
     The abscissa column keeps 12 fixed decimals so rows sort and diff stably.
     Columns are formatted as Python floats (tolist), which print the same
-    digits as numpy scalars and format faster.
+    digits as numpy scalars and format faster; each row is one %-format of
+    its tuple, and the file is written at once.
     """
     columns = [col.tolist() for col in (dataset.abscissa, *dataset.series.values())]
+    row = "%.12f" + ",%.12g" * len(dataset.series) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n")
-        for x, *values in zip(*columns):
-            fh.write(",".join([f"{x:.12f}", *map(_fmt, values)]) + "\n")
+        fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n"
+                 + "".join(row % values for values in zip(*columns)))
 
 
 def _svg_path(points: list[tuple[float, float]]) -> str:
@@ -431,8 +434,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         status = 2
         return _run(cfg, scenario)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A bare MemoryError has no message of its own.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return status
 
 

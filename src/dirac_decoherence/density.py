@@ -7,6 +7,8 @@ the maximally mixed two-state system scores exactly 1.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,20 +28,27 @@ class ReducedDensityMatrix:
     entries: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=np.complex128)
+        rho = np.array(self.entries, dtype=np.complex128)
         if rho.shape != (2, 2):
             raise ValueError(f"entries must be 2x2, got shape {rho.shape}")
+        # Four entries: Python scalars check them at a fraction of numpy's per-call cost.
+        (a, b), (c, d) = rho.tolist()
         # NaN fails every comparison below, so it must be caught here.
-        if not np.all(np.isfinite(rho)):
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError("density matrix has non-finite entries")
-        if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
+        # |rho - rho^H| entrywise: the diagonal gives 2 |Im|, exactly.
+        try:
+            gap = max(2.0 * abs(a.imag), abs(b - c.conjugate()), 2.0 * abs(d.imag))
+        except OverflowError:  # a magnitude past the largest float, where numpy gives inf
+            gap = math.inf
+        if gap > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {rho.trace()} is not 1")
-        lo = min(eigenvalues_raw(rho))
+        trace = a + d
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace} is not 1")
+        lo = _spectrum(a.real, b, d.real)[1]
         if lo < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
-        rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
@@ -63,13 +72,23 @@ class EntropyTrace:
             raise ValueError("entropy samples outside [0, 1]")
 
 
+def _spectrum(a: float, b: complex, d: float) -> tuple[float, float]:
+    """Eigenvalues (descending) of [[a, b], [conj b, d]] in closed form.
+
+    `** 2` is libm's pow, as numpy's scalar power is; x * x can differ in the last bit.
+    """
+    half_trace = (a + d) / 2.0
+    try:
+        radius = math.sqrt(((a - d) / 2.0) ** 2 + abs(b) ** 2)
+    except OverflowError:  # where numpy's scalars give inf
+        radius = math.inf
+    return half_trace + radius, half_trace - radius
+
+
 def eigenvalues_raw(rho: np.ndarray) -> tuple[float, float]:
     """Closed-form spectrum of a 2x2 Hermitian matrix, no clamping."""
-    half_trace = (rho[0, 0].real + rho[1, 1].real) / 2.0
-    radius = np.sqrt(
-        ((rho[0, 0].real - rho[1, 1].real) / 2.0) ** 2 + abs(rho[0, 1]) ** 2
-    )
-    return half_trace + radius, half_trace - radius
+    (a, b), (_, d) = np.asarray(rho).tolist()
+    return _spectrum(a.real, b, d.real)
 
 
 def reduce(field: SpinorField) -> ReducedDensityMatrix:

@@ -20,7 +20,7 @@ from dirac_decoherence.cli import (
     write_csv,
     write_svg_plot,
 )
-from dirac_decoherence.experiments import FIGURES, build_initial
+from dirac_decoherence.experiments import FIGURES, FigureDataset, build_initial
 from dirac_decoherence.grid import SpinorField
 
 
@@ -278,6 +278,24 @@ def test_csv_lf_line_endings(tmp_path):
     main(["entropy-curve", "--mass", "0", "--t-end", "0.5", "--t-step", "0.25", "--output", str(out)])
     raw = out.read_bytes()
     assert b"\r" not in raw
+
+
+def test_csv_bytes_of_edge_floats(tmp_path):
+    # No figure reaches these values: signed zero, subnormal, roundoff, huge, nan, inf.
+    edge = np.array([-0.0, 5e-324, 1e-15, 0.1 + 0.2, 1e16, np.nan, np.inf])
+    x = np.array([-0.0, 5e-324, 2.0 / 3.0, 0.1 + 0.2, 1e16, -1.5, 123.4567890123456])
+    out = tmp_path / "edge.csv"
+    write_csv(FigureDataset("edge", "x", x, {"y": edge, "z": -edge}), str(out))
+    assert out.read_text() == (
+        "x,y,z\n"
+        "-0.000000000000,-0,0\n"
+        "0.000000000000,4.94065645841e-324,-4.94065645841e-324\n"
+        "0.666666666667,1e-15,-1e-15\n"
+        "0.300000000000,0.3,-0.3\n"
+        "10000000000000000.000000000000,1e+16,-1e+16\n"
+        "-1.500000000000,nan,nan\n"
+        "123.456789012346,inf,-inf\n"
+    )
 
 
 def test_csv_determinism(tmp_path):
@@ -645,3 +663,32 @@ def test_unwritable_output_exit_code(capsys):
     status = main(["entropy-curve", "--t-end", "0.1", "--t-step", "0.1",
                    "--output", "/nonexistent-dir/x.csv"])
     assert status == 2
+
+
+@pytest.mark.parametrize("target,exc,status,line", [
+    ("uniform_times", MemoryError("Unable to allocate 7.28 TiB"), 1, "error: Unable to allocate 7.28 TiB"),
+    ("run_scenario", MemoryError(), 2, "error: MemoryError"),
+], ids=["before-run", "after-run"])
+def test_memory_error_prints_one_line(tmp_path, capsys, monkeypatch, target, exc, status, line):
+    # Raised by hand: whether the host refuses a huge allocation depends on its overcommit policy.
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, target, refuse)
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", "--t-end", "0.1", "--t-step", "0.1", "--output", str(out)]) == status
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+def test_successive_calls_share_no_values(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()  # built once, so the calls below share it
+    assert main(["entropy-curve", "--mass", "2", "--dump-config"]) == 0
+    assert "mass = 2.0\n" in capsys.readouterr().out
+    assert main(["entropy-curve", "--dump-config"]) == 0
+    assert "mass = 1.0\n" in capsys.readouterr().out
+    assert main(["entropy-curve", "--no-such-flag", "1"]) == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", "--t-end", "0.1", "--t-step", "0.1", "--output", str(out)]) == 0
+    assert out.read_text().startswith("t,S_bits,")

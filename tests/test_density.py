@@ -67,6 +67,18 @@ def test_density_matrix_invariants_enforced():
         rdm([[0.5, 0.6], [0.6, 0.5]])
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([[0.5, 1.2e308 + 1.2e308j], [0.0, 0.5]], "not Hermitian"),
+    ([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]], "negative eigenvalue -inf"),
+    ([[0.5, 1e160], [1e160, 0.5]], "negative eigenvalue -inf"),
+    ([[1e160, 0.0], [0.0, 1.0 - 1e160]], "trace 0j is not 1"),
+])
+def test_density_matrix_rejects_overflowing_entries(entries, message):
+    # Finite entries whose magnitude or square passes the largest float.
+    with pytest.raises(ValueError, match=message):
+        rdm(entries)
+
+
 def test_density_matrix_must_be_2x2():
     with pytest.raises(ValueError, match=r"entries must be 2x2, got shape \(3, 3\)"):
         rdm(np.eye(3) / 3)
