@@ -26,6 +26,39 @@ CHIRALITY_PLUS = 1
 MIN_SIGMA_OVER_DX = 3.0
 MIN_L_OVER_SIGMA = 6.0
 
+# _fft_rows transforms every row in one call up to this many points, one row per
+# call past it; the two give the same bits.  One call pays numpy's dispatch once,
+# but past 8192 points it measured slower than one per row, and in reconstruct it
+# raised a 16384-point trace's peak RSS by 0.5 MB.  Joint against per-row calls
+# (numpy 2.4, 2-core x86-64 host):
+#
+#     rows   8192 points      16384 points
+#     2      196 vs 297 us    926 vs 591 us
+#     3      331 vs 447 us    1229 vs 962 us
+_JOINT_FFT_MAX_POINTS = 8192
+
+
+def check_mass(m: float) -> None:
+    """Reject a mass that is negative, infinite or NaN."""
+    if not 0 <= m < np.inf:
+        raise ValueError(f"mass must be nonnegative and finite, got {m}")
+
+
+def _fft_rows(rows: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.fft (ifft if inverse) of each row of a 2-D complex array, bit for bit.
+
+    The result goes into out if given, which may be rows itself (in place), and
+    into a fresh array if not; rows is written only when it is out.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    if rows.shape[1] <= _JOINT_FFT_MAX_POINTS:
+        return transform(rows, axis=1, out=out)
+    if out is None:
+        out = np.empty(rows.shape, dtype=np.complex128)
+    for row, dest in zip(rows, out):
+        transform(row, out=dest)
+    return out
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -143,8 +176,7 @@ class InitialSpec:
             raise ValueError("spinor must be nonzero")
         if self.energy_sign not in (-1, 1):
             raise ValueError(f"energy_sign must be +1 or -1, got {self.energy_sign}")
-        if self.mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {self.mass}")
+        check_mass(self.mass)
 
 
 def norm(field: SpinorField) -> float:

@@ -23,13 +23,17 @@ the independent validator of the spectral engine, which is exact in time.
 
 Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width; it
 differs from the direct O(N j) sum by roundoff only, at most 2e-15 times
-sum|taps| * max|psi| as measured for N from 64 to 65536.  A step transforms
-each field row once.  A walk lays each run of equal steps' three tap sets
-(same chirality -1, cross, same chirality +1) into the rows of one (3, N)
-block and transforms each row once; a correlation then multiplies a row
-spectrum by a tap spectrum into one fresh length-N array, inverts it in
-place and returns it.  A step costs 6 length-N FFTs (2 row transforms, 4
-inverses), plus 3 per distinct step length of the walk.
+sum|taps| * max|psi| as measured for N from 64 to 65536.  A step copies the
+two lightcone shifts into the array its new field adopts and transforms each
+field row once.  A walk lays each run of equal steps' three tap sets (same
+chirality -1, cross, same chirality +1) into the rows of one (3, N) block
+and transforms each row once; a correlation then multiplies a row spectrum
+by a tap spectrum into one fresh length-N array, inverts it in place and
+returns it.  A step costs 6 length-N FFTs (2 row transforms, 4 inverses),
+plus 3 per distinct step length of the walk.  Rows are transformed by
+grid._fft_rows, the rule spectral uses too: at N <= 8192 the rows of an
+array go in one numpy call, so a step makes 5 calls and a tap build 1;
+past it a step makes 6 and a tap build 3.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bessel
-from .grid import Grid1D, SpinorField, norm
+from .grid import Grid1D, SpinorField, _fft_rows, check_mass, norm
 
 # The correlation below is the only implementation, an FFT convolution in
 # numpy; the name is kept for callers that report which one ran.
@@ -129,7 +133,7 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     for row, taps in zip(block, (same[-1], cross, same[1])):
         row[:j + 1] = taps[j:]
         row[n - j:] = taps[:j]
-        np.fft.fft(row, out=row)
+    _fft_rows(block, out=block)
     block.flags.writeable = False  # a walk shares it between steps
     return block
 
@@ -137,24 +141,29 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
 def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | None = None) -> SpinorField:
     """One propagator application: cyclic shift plus cone convolution.
 
-    dt must be a nonnegative integer multiple of the grid spacing and small
-    enough that the lightcone stays well inside the periodic domain.
+    m must be nonnegative and finite.  dt must be a nonnegative integer
+    multiple of the grid spacing and small enough that the lightcone stays
+    well inside the periodic domain.
     spectra, if given, must be _tap_spectra of this step's cells, grid and
     mass; without it the step builds its own.
     """
+    check_mass(m)
     grid = field.grid
     j = _step_count(dt, grid.dx)
     if j == 0:
         return field
     _check_cone(dt, grid)
-    # Delta term: component alpha translated by alpha*dt, stacked into the
-    # fresh array the new field adopts; the cone sums are added to its rows.
-    values = np.stack([np.roll(field.minus, -j), np.roll(field.plus, j)])
+    # Delta term: component alpha translated by alpha*dt, that is np.roll by
+    # alpha*j, written into the fresh array the new field adopts; the cone
+    # sums are added to its rows.
+    minus, plus = field.values
+    values = np.empty((2, grid.n_points), dtype=np.complex128)
     out_minus, out_plus = values
+    out_minus[:-j], out_minus[-j:] = minus[j:], minus[:j]
+    out_plus[j:], out_plus[:j] = plus[:-j], plus[-j:]
     if m != 0:
         same_minus, cross, same_plus = _tap_spectra(j, grid, m) if spectra is None else spectra
-        minus_hat = np.fft.fft(field.minus)
-        plus_hat = np.fft.fft(field.plus)
+        minus_hat, plus_hat = _fft_rows(field.values)
         out_minus += cone_correlate(minus_hat, same_minus, j)
         out_minus += cone_correlate(plus_hat, cross, j)
         out_plus += cone_correlate(plus_hat, same_plus, j)
@@ -168,6 +177,7 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
 
     Each run of equal steps shares one build of its tap spectra (none at m = 0).
     """
+    check_mass(m)
     grid = field.grid
     runs = walk(t, grid)
     if not runs:

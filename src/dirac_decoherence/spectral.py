@@ -28,24 +28,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid1D, SpinorField
+from .grid import Grid1D, SpinorField, _fft_rows, check_mass
 
 # Sign of the mass coupling in H(k), pinned by the cross-engine check against the
 # Bessel-kernel propagator; only the benchmark's --perturb reference flips it, via decompose.
 MASS_COUPLING_SIGN = -1.0
 
-# reconstruct inverts both rows in one call up to this many points, one row per call
-# past it; the two give the same bits.  One call pays numpy's dispatch once (N = 1024:
-# 19 against 29 us), but past 8192 points it measured slower than two (N = 16384:
-# 0.61 against 0.47 ms) and raised a 16384-point trace's peak RSS by 0.5 MB (numpy 2.4,
-# 2-core x86-64 host).
-_JOINT_IFFT_MAX_POINTS = 8192
-
 
 def dispersion(k, m: float):
     """Positive energy branch omega = sqrt(k^2 + m^2)."""
-    if m < 0:
-        raise ValueError(f"mass must be nonnegative, got {m}")
+    check_mass(m)
     return np.sqrt(np.asarray(k, dtype=np.float64) ** 2 + m * m)
 
 
@@ -141,7 +133,7 @@ def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING
         # Fourier amplitudes psi_hat(k) in FFT order.  The grid origin sits at
         # index N/2, so each FFT bin picks up the factor e^{-i k_j x_0} = (-1)^j
         # relative to numpy's index-based transform.
-        psi_hat = np.fft.fft(field.values, axis=1)
+        psi_hat = _fft_rows(field.values)
         psi_hat[:, 1::2] *= -1
         psi_hat *= np.sqrt(grid.dx / grid.n_points)
         amps = np.stack([
@@ -168,11 +160,7 @@ def reconstruct(modes: ModeDecomposition) -> SpinorField:
     # cost, except that a -0.0 part can keep the sign the division turns to
     # +0.0; the inverse transform passes such a sign on only to zero outputs.
     psi_hat.view(np.float64)[...] *= 1.0 / np.sqrt(grid.dx / grid.n_points)
-    if grid.n_points <= _JOINT_IFFT_MAX_POINTS:
-        np.fft.ifft(psi_hat, axis=1, out=psi_hat)
-    else:
-        for row in psi_hat:
-            np.fft.ifft(row, out=row)
+    _fft_rows(psi_hat, inverse=True, out=psi_hat)
     psi_hat.flags.writeable = False  # so the field adopts it without a copy
     return SpinorField(grid, psi_hat)
 

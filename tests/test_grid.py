@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from dirac_decoherence import density, spectral
 from dirac_decoherence.experiments import ScenarioConfig
 from dirac_decoherence.grid import (
+    _JOINT_FFT_MAX_POINTS,
     Grid1D,
     InitialSpec,
     SpinorField,
+    _fft_rows,
     build_initial,
     chirality_distributions,
     make_gaussian_packet,
@@ -269,3 +271,20 @@ def test_field_adopts_a_read_only_array_it_owns(grid):
     fortran.flags.writeable = False
     copied = SpinorField(grid, fortran).values
     assert copied is not fortran and copied.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_points", [_JOINT_FFT_MAX_POINTS, 2 * _JOINT_FFT_MAX_POINTS])
+@pytest.mark.parametrize("n_rows", [2, 3])
+@pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
+def test_fft_rows_equals_one_transform_per_row_bitwise(n_points, n_rows, inverse):
+    # Both sides of the joint-call threshold, in place and out of place.
+    rng = np.random.default_rng(n_points + n_rows)
+    rows = rng.normal(size=(n_rows, n_points)) + 1j * rng.normal(size=(n_rows, n_points))
+    transform = np.fft.ifft if inverse else np.fft.fft
+    expected = np.stack([transform(row) for row in rows]).tobytes()
+    before = rows.tobytes()
+    fresh = _fft_rows(rows, inverse=inverse)
+    assert fresh.tobytes() == expected
+    assert rows.tobytes() == before  # out of place, the input is only read
+    assert _fft_rows(rows, inverse=inverse, out=rows) is rows
+    assert rows.tobytes() == expected

@@ -48,8 +48,9 @@ def test_smooth_taps_component_structure():
 
 
 # The grid of each step length: j = 128 on 1024 points and j = 125 on 1000
-# are the longest steps evolve_step accepts there (dt = L/4, j = N/8).
-STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000}
+# are the longest steps evolve_step accepts there (dt = L/4, j = N/8); j = 41
+# on 16384 points transforms one row per call, past the joint-call threshold.
+STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000, 41: 16384}
 
 
 @pytest.mark.parametrize("j", list(STEP_GRIDS))
@@ -63,6 +64,48 @@ def test_step_bitwise_equal_to_reference(j, m):
     values = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
     assert out.values.tobytes() == kernel_step_reference(values, grid.dx, m, j).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_points,step_calls,tap_calls", [(1024, (1, 4), (1, 0)), (16384, (2, 4), (3, 0))],
+    ids=["n1024", "n16384"],
+)
+def test_numpy_transform_calls_per_step(n_points, step_calls, tap_calls, monkeypatch):
+    # Up to the joint-call threshold a step transforms both field rows in one
+    # numpy call and a tap build its three rows in one; past it, one per row.
+    # Each correlation makes one inverse call.
+    grid = Grid1D(20.0, n_points)
+    field = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
+    calls = {"fft": 0, "ifft": 0}
+
+    def counting(name, transform):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    spectra = kernel_engine._tap_spectra(3, grid, 1.0)
+    assert (calls["fft"], calls["ifft"]) == tap_calls
+    calls.update(fft=0, ifft=0)
+    kernel_engine.evolve_step(field, 1.0, 3 * grid.dx, spectra=spectra)
+    assert (calls["fft"], calls["ifft"]) == step_calls
+
+
+@pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
+def test_kernel_rejects_a_mass_it_cannot_use(equal_packet, m, monkeypatch):
+    # Named as the mass, before any tap is built, not as a Bessel argument.
+    def no_taps(*args):
+        raise AssertionError("taps built for a rejected mass")
+
+    monkeypatch.setattr(kernel_engine, "_smooth_taps", no_taps)
+    message = f"mass must be nonnegative and finite, got {m}"
+    dt = 3 * equal_packet.grid.dx
+    with pytest.raises(ValueError, match=message):
+        kernel_engine.evolve_step(equal_packet, m, dt)
+    with pytest.raises(ValueError, match=message):
+        kernel_engine.evolve_to(equal_packet, m, dt)
 
 
 def test_massless_step_is_pure_translation(equal_packet):

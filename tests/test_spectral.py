@@ -37,6 +37,13 @@ def test_dispersion_rejects_negative_mass():
         spectral.dispersion(1.0, -1.0)
 
 
+@pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
+def test_evolve_rejects_a_mass_it_cannot_use(equal_packet, m):
+    # Unchecked, nan would give an all-NaN field and inf NaN with warnings.
+    with pytest.raises(ValueError, match=f"mass must be nonnegative and finite, got {m}"):
+        spectral.evolve(equal_packet, m, 0.5)
+
+
 def test_massless_eigenspinors_align_with_chirality():
     assert np.allclose(spectral.eigenspinor(2.0, 1, 0.0), [0.0, 1.0])
     assert np.allclose(spectral.eigenspinor(2.0, -1, 0.0), [1.0, 0.0])
