@@ -50,6 +50,8 @@ from .experiments import (
 from .grid import KIND_FIELDS, Grid1D
 
 ENTROPY_HEADER = ["t", "S_bits", "rho00", "rho01_re", "rho01_im", "rho11"]
+# The CSV's first column, as write_csv prints it and _check_rows_differ checks it.
+_ABSCISSA_FORMAT = "%.12f"
 
 
 def _parse_complex(text: str) -> complex:
@@ -240,9 +242,23 @@ def parse_config(argv: list[str] | None) -> tuple[CliConfig, bool]:
     return CliConfig(subcommand=subcommand, **values), ns["dump_config"]
 
 
+def _check_rows_differ(label: str, values: np.ndarray) -> None:
+    """Reject an abscissa whose CSV column would print the same number on two
+    consecutive rows (-0.000000000000 and 0.000000000000 included).  Two values
+    that print the same lie within 1e-12, so only closer pairs are formatted."""
+    for i in np.flatnonzero(np.diff(values) < 2e-12).tolist():
+        lo, hi = values[i:i + 2].tolist()
+        printed = _ABSCISSA_FORMAT % hi
+        if float(_ABSCISSA_FORMAT % lo) == float(printed):
+            raise ValueError(f"{label} = {lo!r} and {label} = {hi!r} print as the same number, "
+                             f"{printed}, in the CSV's 12-decimal ({_ABSCISSA_FORMAT}) "
+                             "column; space them further apart or write an .svg")
+
+
 def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
     """The scenario the run needs, so each value its constructors reject fails here
-    (distributions samples t_end only), or None for figure and validate."""
+    (distributions samples t_end only), or None for figure and validate.  A CSV
+    output must also print each abscissa row (time or grid point) distinctly."""
     if cfg.subcommand in ("figure", "validate"):
         return None
     try:
@@ -258,7 +274,14 @@ def _validate_config(cfg: CliConfig) -> ScenarioConfig | None:
         times = uniform_times(cfg.t_start, cfg.t_end, cfg.t_step) if cfg.times is None else cfg.times
     else:
         times = (cfg.t_end,)
-    return ScenarioConfig(mass=cfg.mass, initial=initial, grid=grid, times=times, engine=cfg.engine)
+    scenario = ScenarioConfig(mass=cfg.mass, initial=initial, grid=grid, times=times,
+                              engine=cfg.engine)
+    if os.path.splitext(cfg.output)[1] != ".svg":
+        if cfg.subcommand == "entropy-curve":
+            _check_rows_differ(ENTROPY_HEADER[0], np.asarray(scenario.times, dtype=np.float64))
+        else:
+            _check_rows_differ("x", grid.x)
+    return scenario
 
 
 def write_csv(dataset: FigureDataset, path: str) -> None:
@@ -270,7 +293,7 @@ def write_csv(dataset: FigureDataset, path: str) -> None:
     its tuple, and the file is written at once.
     """
     columns = [col.tolist() for col in (dataset.abscissa, *dataset.series.values())]
-    row = "%.12f" + ",%.12g" * len(dataset.series) + "\n"
+    row = _ABSCISSA_FORMAT + ",%.12g" * len(dataset.series) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([dataset.abscissa_label, *dataset.series]) + "\n"
                  + "".join(row % values for values in zip(*columns)))

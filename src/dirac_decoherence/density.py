@@ -23,9 +23,11 @@ POSITIVITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """2x2 chirality density matrix in the fixed (-1, +1) component order."""
+    """2x2 chirality density matrix in the fixed (-1, +1) component order, with its
+    spectrum `eigenvalues` (descending, unclamped) kept from the positivity check."""
 
     entries: np.ndarray = dc_field(repr=False)
+    eigenvalues: tuple[float, float] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.array(self.entries, dtype=np.complex128)
@@ -46,11 +48,12 @@ class ReducedDensityMatrix:
         trace = a + d
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace} is not 1")
-        lo = _spectrum(a.real, b, d.real)[1]
+        hi, lo = _spectrum(a.real, b, d.real)
         if lo < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
+        object.__setattr__(self, "eigenvalues", (hi, lo))
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,6 @@ def _spectrum(a: float, b: complex, d: float) -> tuple[float, float]:
     return half_trace + radius, half_trace - radius
 
 
-def eigenvalues_raw(rho: np.ndarray) -> tuple[float, float]:
-    """Closed-form spectrum of a 2x2 Hermitian matrix, no clamping."""
-    (a, b), (_, d) = np.asarray(rho).tolist()
-    return _spectrum(a.real, b, d.real)
-
-
 def reduce(field: SpinorField) -> ReducedDensityMatrix:
     """Integrate psi_a(x) conj(psi_a'(x)) over position (trapezoidal sum)."""
     rho = np.einsum("an,bn->ab", field.values, field.values.conj()) * field.grid.dx
@@ -121,8 +118,7 @@ def reduce_from_modes(modes: ModeDecomposition, t: float) -> ReducedDensityMatri
 
 def eigenvalues2(rho: ReducedDensityMatrix) -> tuple[float, float]:
     """Spectrum (descending), clamped to [0, 1] and renormalized to sum 1."""
-    hi, lo = eigenvalues_raw(rho.entries)
-    hi = min(max(hi, 0.0), 1.0)
+    hi = min(max(rho.eigenvalues[0], 0.0), 1.0)
     return hi, 1.0 - hi
 
 

@@ -599,6 +599,38 @@ def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,pair,printed", [
+    (["entropy-curve", "--times", "1e-13,2e-13,4e-13"], "t = 1e-13 and t = 2e-13", "0.000000000000"),
+    (["entropy-curve", "--t-end", "2e-12", "--t-step", "5e-13"], "t = 0.0 and t = 5e-13",
+     "0.000000000000"),
+    (["distributions", "--grid-l", "1e-10", "--width", "1e-11", "--t-end", "0"],
+     "x = -1e-10 and x = -9.98046875e-11", "-0.000000000100"),
+    # -0.000000000000 and 0.000000000000: two strings, one number.
+    (["distributions", "--kind", "plane_wave", "--grid-l", "3e-13", "--grid-n", "2", "--t-end", "0"],
+     "x = -3e-13 and x = 0.0", "0.000000000000"),
+], ids=["times", "range", "grid", "signed-zero"])
+def test_csv_rows_that_print_the_same_exit_1(tmp_path, capsys, monkeypatch, args, pair, printed):
+    monkeypatch.setattr(cli, "run_scenario", _no_work)
+    monkeypatch.setattr(cli, "distribution_dataset", _no_work)
+    out = tmp_path / "x.csv"
+    assert main([*args, "--output", str(out)]) == 1
+    assert (f"{pair} print as the same number, {printed}, in the CSV's 12-decimal (%.12f) column"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("times,output", [
+    ("1e-13,2e-13,4e-13", "x.svg"),  # a plot prints no 12-decimal column
+    ("0.4e-12,1.6e-12", "x.csv"),  # under 2e-12 apart, yet printed as ...000 and ...002
+])
+def test_close_abscissa_that_prints_distinctly_runs(tmp_path, times, output):
+    out = tmp_path / output
+    assert main(["entropy-curve", "--times", times, "--output", str(out)]) == 0
+    if output.endswith(".csv"):
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.000000000000", "0.000000000002"]
+
+
 @pytest.mark.parametrize("subcommand", ["entropy-curve", "distributions"])
 def test_run_builds_its_initial_state_once(tmp_path, monkeypatch, subcommand):
     calls = []

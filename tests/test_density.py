@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +200,70 @@ def test_spectrum_invariant_under_unitary_conjugation(theta, phi, p):
     a = density.eigenvalues2(rdm(rho))
     b = density.eigenvalues2(rdm(rotated))
     assert abs(a[0] - b[0]) < 1e-12
+
+
+def _closed_form_spectrum(entries):
+    """The 2x2 closed form, spelled out: descending, unclamped, from the entries' Python scalars."""
+    (a, b), (_, d) = np.asarray(entries).tolist()
+    a, d = a.real, d.real
+    half_trace = (a + d) / 2.0
+    radius = math.sqrt(((a - d) / 2.0) ** 2 + abs(b) ** 2)
+    return half_trace + radius, half_trace - radius
+
+
+def _random_density_matrices(count, seed=20261020):
+    """Hermitian, positive-semidefinite, unit-trace 2x2 matrices; every other one pure."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        g = rng.normal(size=(2, 2 - i % 2)) + 1j * rng.normal(size=(2, 2 - i % 2))
+        rho = g @ g.conj().T
+        rho /= rho.trace().real
+        yield (rho + rho.conj().T) / 2.0
+
+
+_EDGE_MATRICES = [
+    0.5 * np.eye(2),
+    0.5 * np.ones((2, 2)),
+    np.diag([0.0, 1.0]),
+    np.diag([1.0, 0.0]),
+    *([[0.5, massless_off_diagonal(t)], [massless_off_diagonal(t), 0.5]] for t in (0.5, 1.0, 2.0)),
+]
+
+
+def test_eigenvalues_are_the_closed_form_bit_for_bit():
+    matrices = [*_random_density_matrices(200), *_EDGE_MATRICES]
+    for matrix in matrices:
+        r = rdm(matrix)
+        expected = _closed_form_spectrum(r.entries)
+        assert [x.hex() for x in r.eigenvalues] == [x.hex() for x in expected]
+        hi = min(max(expected[0], 0.0), 1.0)
+        assert density.eigenvalues2(r) == (hi, 1.0 - hi)
+
+
+def test_eigenvalues_are_read_only():
+    r = rdm(0.5 * np.eye(2))
+    assert type(r.eigenvalues) is tuple and r.eigenvalues == (0.5, 0.5)
+    with pytest.raises(TypeError):
+        r.eigenvalues[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.eigenvalues = (1.0, 0.0)
+    with pytest.raises(TypeError):  # the spectrum comes from the entries, never from a caller
+        density.ReducedDensityMatrix(r.entries, eigenvalues=(1.0, 0.0))
+    assert "eigenvalues" not in repr(r)
+
+
+def test_entropy_diagonalizes_once(monkeypatch, equal_packet):
+    field = spectral.evolve(equal_packet, 1.0, 0.7)
+    spectrum, calls = density._spectrum, []
+
+    def counting_spectrum(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr(density, "_spectrum", counting_spectrum)
+    entropy = density.entropy_bits(density.reduce(field))
+    assert len(calls) == 1
+    assert 0.0 < entropy < 1.0
 
 
 def test_entropy_pure_and_mixed():
