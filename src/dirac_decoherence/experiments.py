@@ -176,12 +176,3 @@ FIGURES = {
     "fig5": _fig5,
     "fig6": lambda: _fig5().insets[0],
 }
-
-
-def local_max_locator(trace: density.EntropyTrace) -> tuple[float, float] | None:
-    """First interior sample strictly above both neighbors, or None."""
-    s = trace.entropy
-    for i in range(1, len(s) - 1):
-        if s[i] > s[i - 1] and s[i] > s[i + 1]:
-            return float(trace.times[i]), float(s[i])
-    return None

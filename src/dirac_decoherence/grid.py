@@ -27,14 +27,20 @@ MIN_SIGMA_OVER_DX = 3.0
 MIN_L_OVER_SIGMA = 6.0
 
 # _fft_rows transforms every row in one call up to this many points, one row per
-# call past it; the two give the same bits.  One call pays numpy's dispatch once,
-# but past 8192 points it measured slower than one per row, and in reconstruct it
-# raised a 16384-point trace's peak RSS by 0.5 MB.  Joint against per-row calls
-# (numpy 2.4, 2-core x86-64 host):
+# call past it; the two give the same bits.  Past 4096 points the faster form
+# depends on the host: one 2-core x86-64 host measured per-row calls faster at
+# 8192 and 16384 points, and the joint call in reconstruct raised a 16384-point
+# trace's peak RSS by 0.5 MB.  Joint against per-row calls with out= on another
+# (numpy 2.4, 2-core Xeon, 4 MiB L2 per core; median of 15 alternated rounds of
+# the best of 3 x 40 calls, per-row winning 0-3 of them):
 #
-#     rows   8192 points      16384 points
-#     2      196 vs 297 us    926 vs 591 us
-#     3      331 vs 447 us    1229 vs 962 us
+#     points  rows   forward          inverse
+#     4096    2      63 vs 99 us      66 vs 122 us
+#     4096    3      97 vs 136 us     104 vs 157 us
+#     8192    2      143 vs 195 us    146 vs 213 us
+#     8192    3      250 vs 307 us    254 vs 344 us
+#     16384   2      310 vs 449 us    309 vs 495 us
+#     16384   3      502 vs 636 us    545 vs 690 us
 _JOINT_FFT_MAX_POINTS = 8192
 
 
@@ -264,15 +270,3 @@ def build_initial(spec: InitialSpec, grid: Grid1D) -> SpinorField:
 def chirality_distributions(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     """Position distributions (|psi_-1|^2, |psi_+1|^2) per grid site."""
     return np.abs(field.minus) ** 2, np.abs(field.plus) ** 2
-
-
-def position_moments(field: SpinorField) -> tuple[float, float]:
-    """Mean and centered variance of position under psi^dagger psi."""
-    density = np.sum(np.abs(field.values) ** 2, axis=0)
-    total = float(np.sum(density) * field.grid.dx)
-    if total <= 0:
-        raise ValueError("position moments are undefined for a zero-norm field")
-    x = field.grid.x
-    mean = float(np.sum(x * density) * field.grid.dx / total)
-    variance = float(np.sum((x - mean) ** 2 * density) * field.grid.dx / total)
-    return mean, variance

@@ -414,6 +414,34 @@ def test_figures_match_recorded_digests(tmp_path):
     assert written == json.loads(digests.read_text())
 
 
+# sha256 of the CSV each request writes, for the engines and initial states the figure
+# digests do not reach: the kernel engine, a plane wave, positive-energy packets and a
+# phased, off-centre spinor.  Recorded with numpy 2.4.
+REQUEST_DIGESTS = {
+    "entropy-curve --engine kernel --mass 1.3 --times 0.0390625,0.1171875,0.5078125":
+        "f6430aa9d2db17d74528ba9a34c117d7b1d9371f5d89efccd7db15558d6ef39c",
+    "distributions --engine kernel --mass 2 --t-end 0.5078125":
+        "fb080995f3d4d5fdea08877b6d9999549b4c3715ab17fa419e20466b3959edc8",
+    "entropy-curve --kind plane_wave --mode-index 7 --energy-sign -1 --mass 0.5 --t-end 1 --t-step 0.25":
+        "d9f7778fd603300630c5bad6f7b8c56fdbbee4fd3234c4850ed69a9bfd92d72a",
+    "entropy-curve --kind positive_energy_packet --mass 2 --t-end 1 --t-step 0.1":
+        "af49a4badaec0f1f16bc65724c278b5b4f14a3c845c669e98054dd88d63500fe",
+    "entropy-curve --spinor-b 0.6,0.8 --center -1.5 --width 1.3 --mass 1.7 --t-end 2 --t-step 0.05":
+        "b7019e81b0a8b26f9fbd08cfdff644ba8cd99ac5df0fe364c698771a8ed238f3",
+    "distributions --kind positive_energy_packet --mass 0.5 --t-end 0":
+        "f03f196f708306bc172013097331ecbda4d68db7f13812173241e6824f20987c",
+}
+
+
+def test_requests_match_recorded_digests(tmp_path):
+    written = {}
+    for request in REQUEST_DIGESTS:
+        out = tmp_path / "out.csv"
+        assert main([*request.split(), "--output", str(out)]) == 0
+        written[request] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert written == REQUEST_DIGESTS
+
+
 def test_entropy_curve_reproduces_figure4_columns(tmp_path):
     trace, fig = tmp_path / "trace.csv", tmp_path / "fig4.csv"
     assert main(["entropy-curve", "--mass", "1", "--t-end", "2", "--output", str(trace)]) == 0

@@ -11,7 +11,6 @@ from dirac_decoherence.experiments import (
     ScenarioConfig,
     distribution_dataset,
     entropy_curve,
-    local_max_locator,
     run_scenario,
 )
 from dirac_decoherence.grid import build_initial
@@ -203,21 +202,6 @@ def test_figure5_slower_than_equal_superposition():
     assert 0.0 < w_minus < w_plus
 
 
-def test_local_max_locator():
-    trace2 = entropy_curve(equal_superposition(2.0), 1.0)
-    found = local_max_locator(trace2)
-    assert found is not None
-    t_star, s_star = found
-    assert 0.0 < t_star <= 1.0
-    trace0 = entropy_curve(equal_superposition(0.0), 3.0)
-    assert local_max_locator(trace0) is None
-    flat = density.EntropyTrace(
-        times=np.arange(5.0), entropy=np.full(5, 0.3),
-        rho00=np.full(5, 0.5), rho01=np.zeros(5, complex), rho11=np.full(5, 0.5),
-    )
-    assert local_max_locator(flat) is None
-
-
 def test_mass_ordering_of_peaks():
     # Lighter particles decohere faster and reach higher entropy peaks.
     early, peaks = [], []
@@ -246,13 +230,15 @@ def test_figure_dataset_validation():
 
 def test_dispersion_without_decoherence():
     from dirac_decoherence import spectral
-    from dirac_decoherence.grid import build_initial, position_moments
     from dirac_decoherence.experiments import DEFAULT_GRID
 
     spec = InitialSpec(kind="positive_energy_packet", mass=1.0)
     f = build_initial(spec, DEFAULT_GRID)
-    _, var0 = position_moments(f)
-    _, var2 = position_moments(spectral.evolve(f, 1.0, 2.0))
+    # Position variance under psi^dagger psi, at t = 0 and t = 2.
+    var0, var2 = (
+        np.cov(DEFAULT_GRID.x, aweights=np.sum(np.abs(g.values) ** 2, axis=0), bias=True)
+        for g in (f, spectral.evolve(f, 1.0, 2.0))
+    )
     assert var2 / var0 > 1.05
     rho0 = density.reduce(f).entries
     for t in np.linspace(0.0, 5.0, 11):

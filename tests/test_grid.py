@@ -18,7 +18,6 @@ from dirac_decoherence.grid import (
     make_gaussian_packet,
     make_plane_wave,
     norm,
-    position_moments,
 )
 
 from oracles import mode_vectors_reference
@@ -171,25 +170,15 @@ def test_massless_distributions_split(equal_packet):
     assert x[np.argmax(pp)] == pytest.approx(1.0, abs=equal_packet.grid.dx)
 
 
-def test_position_moments(equal_packet):
-    # Amplitude width sigma = 1 squares to a probability density of variance 1/2.
-    mean, var = position_moments(equal_packet)
-    assert abs(mean) < 1e-10
-    assert var == pytest.approx(0.5, rel=0.02)
-
-
-def test_position_moments_zero_field(grid):
-    z = SpinorField(grid, np.zeros((2, grid.n_points)))
-    with pytest.raises(ValueError):
-        position_moments(z)
-
-
 def test_positive_energy_packet_disperses(grid):
     spec = InitialSpec(kind="positive_energy_packet", mass=1.0)
     f = build_initial(spec, grid)
     assert norm(f) == pytest.approx(1.0, abs=1e-12)
-    _, var0 = position_moments(f)
-    _, var2 = position_moments(spectral.evolve(f, 1.0, 2.0))
+    # Position variance under psi^dagger psi, at t = 0 and t = 2.
+    var0, var2 = (
+        np.cov(grid.x, aweights=np.sum(np.abs(g.values) ** 2, axis=0), bias=True)
+        for g in (f, spectral.evolve(f, 1.0, 2.0))
+    )
     assert var2 > var0
 
 

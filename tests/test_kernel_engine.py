@@ -67,6 +67,37 @@ def test_step_bitwise_equal_to_reference(j, m):
 
 
 @pytest.mark.parametrize(
+    "n_points,j,m",
+    [(1024, 1, 1.0), (1024, 3, 2.0), (1024, 128, 1.0), (1000, 125, 0.7), (16384, 41, 1.3),
+     (1024, 3, 0.0), (1024, 13, 50.0)],
+)
+def test_step_is_diagonal_in_the_fft_index(n_points, j, m):
+    # A j-cell step multiplies fft(psi) at each index n by the 2x2 symbol
+    # [[e^{i theta} + S-, C], [C, e^{-i theta} + S+]], theta = 2 pi n j / N:
+    # the lightcone shifts give the phases and the cone sums the rows of
+    # _tap_spectra, the spectra of the taps laid at offsets d mod N (all zero
+    # at m = 0, where a step skips them).
+    grid = Grid1D(20.0, n_points)
+    spectra = kernel_engine._tap_spectra(j, grid, m)
+    same, cross_taps = kernel_engine._smooth_taps(j, grid.dx, m)
+    laid = np.zeros((3, n_points), dtype=np.complex128)
+    laid[:, np.arange(-j, j + 1) % n_points] = [same[-1], cross_taps, same[1]]
+    assert np.array_equal(spectra, np.fft.fft(laid, axis=1))
+    rng = np.random.default_rng(n_points + j)
+    values = rng.normal(size=(2, n_points)) + 1j * rng.normal(size=(2, n_points))
+    out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
+    minus_hat, plus_hat = np.fft.fft(values, axis=1)
+    same_minus, cross, same_plus = spectra
+    shift = np.exp(2j * np.pi * np.arange(n_points) * j / n_points)
+    expected = np.array([
+        (shift + same_minus) * minus_hat + cross * plus_hat,
+        cross * minus_hat + (shift.conj() + same_plus) * plus_hat,
+    ])
+    tol = 1e-12 * np.abs([minus_hat, plus_hat]).max()
+    assert np.abs(np.fft.fft(out.values, axis=1) - expected).max() < tol
+
+
+@pytest.mark.parametrize(
     "n_points,step_calls,tap_calls", [(1024, (1, 4), (1, 0)), (16384, (2, 4), (3, 0))],
     ids=["n1024", "n16384"],
 )
