@@ -19,9 +19,11 @@ the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
 (for the kernel engine, a time that is not a whole number of cells), before
 any evolution; 2 a failure after the run started, such as an output that
-cannot be written or that is also the path of one of the figure's insets.  A
-request the host has no memory for (say, a sample grid of 1e12 times) prints
-one error line like any other and exits 1 or 2 by the same rule.
+cannot be written or that is also the path of one of the figure's insets,
+or a field that is not finite (distributions at a t where omega * t
+overflows).  A request the host has no memory for (say, a sample grid of
+1e12 times) prints one error line like any other and exits 1 or 2 by the
+same rule.
 """
 
 from __future__ import annotations

@@ -130,7 +130,11 @@ def distribution_dataset(figure_id: str, cfg: ScenarioConfig) -> FigureDataset:
     if len(cfg.times) != 1:
         raise ValueError(f"distributions take one time, got {len(cfg.times)}")
     (t,) = cfg.times
-    pm, pp = chirality_distributions(evolved(cfg, t) if t > 0 else cfg.field0)
+    field = evolved(cfg, t) if t > 0 else cfg.field0
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError(f"the field at t = {t} has non-finite values; its distributions "
+                         f"cannot be computed")
+    pm, pp = chirality_distributions(field)
     return FigureDataset(
         figure_id=figure_id, abscissa_label="x", abscissa=cfg.grid.x,
         series={"prob_minus": pm, "prob_plus": pp},

@@ -41,13 +41,31 @@ MIN_L_OVER_SIGMA = 6.0
 #     8192    3      250 vs 307 us    254 vs 344 us
 #     16384   2      310 vs 449 us    309 vs 495 us
 #     16384   3      502 vs 636 us    545 vs 690 us
+#
+# and on a third (numpy 2.4.6, 2-vCPU Sapphire Rapids, 2 MiB L2 per core; same
+# method, joint winning the count of the 15 rounds shown):
+#
+#     points  rows   forward               inverse
+#     4096    2      82 vs 132 us, 15      70 vs 108 us, 15
+#     4096    3      88 vs 128 us, 15      94 vs 140 us, 15
+#     8192    2      251 vs 187 us, 0      255 vs 210 us, 1
+#     8192    3      435 vs 381 us, 2      348 vs 308 us, 0
+#     16384   2      613 vs 369 us, 0      618 vs 427 us, 0
+#     16384   3      801 vs 586 us, 1      831 vs 688 us, 1
+#
+# The threshold stays at 8192: no request of the benchmark has between 1024
+# and 16384 points, so 4096 would run the same calls.
 _JOINT_FFT_MAX_POINTS = 8192
 
 
 def check_mass(m: float) -> None:
-    """Reject a mass that is negative, infinite or NaN."""
+    """Reject a mass that is negative, infinite or NaN, or whose square is not
+    finite (from about 1.34e154): both engines need m^2."""
     if not 0 <= m < np.inf:
         raise ValueError(f"mass must be nonnegative and finite, got {m}")
+    if not float(m) * float(m) < np.inf:  # Python floats: overflow gives inf, no warning
+        raise ValueError(f"mass = {m} is too large: its square overflows float64 "
+                         f"(the largest mass is about 1.34e154)")
 
 
 def _fft_rows(rows: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:

@@ -21,19 +21,22 @@ dx = 0.04 the norm is off by 5e-6 to 9e-5 at t = 1 for m from 0.5 to
 2), so evolve_to renormalizes the field it returns.  This engine serves as
 the independent validator of the spectral engine, which is exact in time.
 
-Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width; it
-differs from the direct O(N j) sum by roundoff only, at most 2e-15 times
-sum|taps| * max|psi| as measured for N from 64 to 65536.  A step copies the
-two lightcone shifts into the array its new field adopts and transforms each
-field row once.  A walk lays each run of equal steps' three tap sets (same
-chirality -1, cross, same chirality +1) into the rows of one (3, N) block
-and transforms each row once; a correlation then multiplies a row spectrum
-by a tap spectrum into one fresh length-N array, inverts it in place and
-returns it.  A step costs 6 length-N FFTs (2 row transforms, 4 inverses),
-plus 3 per distinct step length of the walk.  Rows are transformed by
-grid._fft_rows, the rule spectral uses too: at N <= 8192 the rows of an
-array go in one numpy call, so a step makes 5 calls and a tap build 1;
-past it a step makes 6 and a tap build 3.
+Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width.  A
+step transforms each field row once.  A walk lays each run of equal steps'
+three tap sets (same chirality -1, cross, same chirality +1) into the rows
+of one (3, N) block and transforms each row once; a correlation then
+multiplies a row spectrum by a tap spectrum into one fresh length-N array,
+the spectrum of its cone sum.  The step adds each new row's two cone spectra
+(same chirality and cross) into the array its new field adopts, inverts it
+in place and adds the two lightcone shifts to its rows.  A row's two cone
+sums, so added, differ from the two direct O(N j) sums by roundoff only: at
+most 1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap sets,
+as measured for N from 64 to 65536 and j from 1 to N/8.  A step costs 4
+length-N FFTs (2 row transforms, 2 inverses), plus 3 per distinct step
+length of the walk.  Rows are transformed by grid._fft_rows, the rule
+spectral uses too: at N <= 8192 the rows of an array go in one numpy call,
+so a step makes 2 calls and a tap build 1; past it a step makes 4 and a tap
+build 3.
 """
 
 from __future__ import annotations
@@ -52,15 +55,16 @@ WALK_STEP = 0.1
 
 
 def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int) -> np.ndarray:
-    """out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in [-j, j], by FFT,
-    from psi_hat = fft(psi) and taps_hat, a row of the _tap_spectra block.
+    """The spectrum of out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in
+    [-j, j], from psi_hat = fft(psi) and taps_hat, a row of the _tap_spectra
+    block: psi_hat * taps_hat, in a fresh array, by the correlation theorem.
+    ifft of it is the cone sum; evolve_step adds two before it inverts.
 
     Both spectra are only read.  The product does not need half_width; it is
     the cone's j, which sets the N (2j + 1) multiply-adds of the direct sum
     this replaces, so a profiler wrapping the call can count them.
     """
-    out = psi_hat * taps_hat
-    return np.fft.ifft(out, out=out)
+    return psi_hat * taps_hat
 
 
 def _step_count(dt: float, dx: float) -> int:
@@ -153,21 +157,32 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
     if j == 0:
         return field
     _check_cone(dt, grid)
-    # Delta term: component alpha translated by alpha*dt, that is np.roll by
-    # alpha*j, written into the fresh array the new field adopts; the cone
-    # sums are added to its rows.
-    minus, plus = field.values
-    values = np.empty((2, grid.n_points), dtype=np.complex128)
-    out_minus, out_plus = values
-    out_minus[:-j], out_minus[-j:] = minus[j:], minus[:j]
-    out_plus[j:], out_plus[:j] = plus[:-j], plus[-j:]
-    if m != 0:
+    if m == 0:
+        # -0.0 is the exact identity of +, so adding the shifts below gives
+        # them bit for bit.
+        values = np.full((2, grid.n_points), complex(-0.0, -0.0))
+    else:
         same_minus, cross, same_plus = _tap_spectra(j, grid, m) if spectra is None else spectra
         minus_hat, plus_hat = _fft_rows(field.values)
-        out_minus += cone_correlate(minus_hat, same_minus, j)
-        out_minus += cone_correlate(plus_hat, cross, j)
-        out_plus += cone_correlate(plus_hat, same_plus, j)
-        out_plus += cone_correlate(minus_hat, cross, j)
+        # Each new row's two cone sums are added as spectra in the fresh array
+        # the new field adopts, row by row so that one product at a time is
+        # held beside it, and inverted in place once the field spectra are
+        # dropped.
+        values = np.empty((2, grid.n_points), dtype=np.complex128)
+        values[0] = cone_correlate(minus_hat, same_minus, j)
+        values[0] += cone_correlate(plus_hat, cross, j)
+        values[1] = cone_correlate(plus_hat, same_plus, j)
+        values[1] += cone_correlate(minus_hat, cross, j)
+        del minus_hat, plus_hat
+        _fft_rows(values, inverse=True, out=values)
+    # Delta term: component alpha translated by alpha*dt, that is np.roll by
+    # alpha*j, added to the rows.
+    minus, plus = field.values
+    out_minus, out_plus = values
+    out_minus[:-j] += minus[j:]
+    out_minus[-j:] += minus[:j]
+    out_plus[j:] += plus[:-j]
+    out_plus[:j] += plus[-j:]
     values.flags.writeable = False  # so the field adopts it without a copy
     return SpinorField(grid, values)
 

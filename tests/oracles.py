@@ -12,7 +12,9 @@ check its projection bit for bit.
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the full 42-term series
 recurrence, and a kernel step whose cone sums lay out the taps by index
-array and transform out of place.
+array and transform out of place, adding each field row's two cone spectra
+before one inverse.  The step with one inverse per cone sum is kept as a
+second reference, equal to the first up to roundoff.
 """
 
 import mpmath
@@ -103,14 +105,15 @@ def tap_layout_reference(taps: np.ndarray, j: int, n: int) -> np.ndarray:
     return h
 
 
-def cone_correlate_reference(psi: np.ndarray, taps: np.ndarray, j: int) -> np.ndarray:
-    """Taps placed by tap_layout_reference, then ifft(fft(psi) * fft(h)) out of place."""
+def cone_spectrum_reference(psi: np.ndarray, taps: np.ndarray, j: int) -> np.ndarray:
+    """Taps placed by tap_layout_reference, then fft(psi) * fft(h) out of place:
+    the spectrum of the cone sum."""
     h = tap_layout_reference(taps, j, len(psi))
-    return np.fft.ifft(np.fft.fft(psi) * np.fft.fft(h))
+    return np.fft.fft(psi) * np.fft.fft(h)
 
 
-def kernel_step_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
-    """One j-cell kernel step of a (2, N) field, cone arguments on the series branch."""
+def _step_taps(dx: float, m: float, j: int):
+    """A j-cell step's tap sets by the full series, cone arguments on the series branch."""
     dt = j * dx
     d = np.arange(-j, j + 1)
     sep = d * dx
@@ -123,11 +126,33 @@ def kernel_step_reference(values: np.ndarray, dx: float, m: float, j: int) -> np
         alpha: -(dt + alpha * sep) * (m * m / 2.0) * j1_over_x_float_reference(m * tau) * weights * dx
         for alpha in (-1, 1)
     }
+    return same, cross
+
+
+def kernel_step_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
+    """One j-cell kernel step of a (2, N) field: each row's two cone spectra
+    added, inverted once out of place and added to the np.roll shift."""
+    same, cross = _step_taps(dx, m, j)
     minus, plus = values
     out_minus = np.roll(minus, -j).astype(np.complex128)
     out_plus = np.roll(plus, j).astype(np.complex128)
-    out_minus += cone_correlate_reference(minus, same[-1], j)
-    out_minus += cone_correlate_reference(plus, cross, j)
-    out_plus += cone_correlate_reference(plus, same[1], j)
-    out_plus += cone_correlate_reference(minus, cross, j)
+    out_minus += np.fft.ifft(cone_spectrum_reference(minus, same[-1], j)
+                             + cone_spectrum_reference(plus, cross, j))
+    out_plus += np.fft.ifft(cone_spectrum_reference(plus, same[1], j)
+                            + cone_spectrum_reference(minus, cross, j))
+    return np.stack([out_minus, out_plus])
+
+
+def kernel_step_four_inverses_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
+    """The same step with each of the four cone sums inverted on its own and
+    added to the shift in turn; it differs from kernel_step_reference by
+    roundoff only."""
+    same, cross = _step_taps(dx, m, j)
+    minus, plus = values
+    out_minus = np.roll(minus, -j).astype(np.complex128)
+    out_plus = np.roll(plus, j).astype(np.complex128)
+    out_minus += np.fft.ifft(cone_spectrum_reference(minus, same[-1], j))
+    out_minus += np.fft.ifft(cone_spectrum_reference(plus, cross, j))
+    out_plus += np.fft.ifft(cone_spectrum_reference(plus, same[1], j))
+    out_plus += np.fft.ifft(cone_spectrum_reference(minus, cross, j))
     return np.stack([out_minus, out_plus])

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -419,9 +420,9 @@ def test_figures_match_recorded_digests(tmp_path):
 # phased, off-centre spinor.  Recorded with numpy 2.4.
 REQUEST_DIGESTS = {
     "entropy-curve --engine kernel --mass 1.3 --times 0.0390625,0.1171875,0.5078125":
-        "f6430aa9d2db17d74528ba9a34c117d7b1d9371f5d89efccd7db15558d6ef39c",
+        "38c0faa536371306795fae63fbfe5e56f1852216536085d92405a692990e512f",
     "distributions --engine kernel --mass 2 --t-end 0.5078125":
-        "fb080995f3d4d5fdea08877b6d9999549b4c3715ab17fa419e20466b3959edc8",
+        "77f483ecba4c0596dd173f1d1480ad1933599467ddf8447c21d7cb1f29b9780b",
     "entropy-curve --kind plane_wave --mode-index 7 --energy-sign -1 --mass 0.5 --t-end 1 --t-step 0.25":
         "d9f7778fd603300630c5bad6f7b8c56fdbbee4fd3234c4850ed69a9bfd92d72a",
     "entropy-curve --kind positive_energy_packet --mass 2 --t-end 1 --t-step 0.1":
@@ -624,6 +625,40 @@ def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
     out = tmp_path / "x.csv"
     assert main(["entropy-curve", *args, "--output", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["distributions", "--mass", "1e200", "--t-end", "0.5"],
+    ["distributions", "--engine", "kernel", "--mass", "1e200", "--t-end", "0.5078125"],
+    ["entropy-curve", "--mass", "1e155", "--t-end", "0.1", "--t-step", "0.1"],
+], ids=["spectral", "kernel", "entropy-curve"])
+def test_mass_whose_square_overflows_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args):
+    # m^2 overflows from about 1.34e154; such a mass once gave all-NaN
+    # distributions with exit 0, or numpy warnings and exit 2 after the run.
+    monkeypatch.setattr(cli, "run_scenario", _no_work)
+    monkeypatch.setattr(cli, "distribution_dataset", _no_work)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    mass = float(args[args.index("--mass") + 1])
+    assert err == f"error: mass = {mass} is too large: its square overflows float64 " \
+                  "(the largest mass is about 1.34e154)\n"
+    assert not out.exists()
+
+
+def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
+    # omega * t overflows at t = 1e307 (numpy warns of the overflow and of the
+    # exp of inf), so the evolved field is NaN: the request fails by name after
+    # the run, and writes no CSV of NaN.
+    out = tmp_path / "x.csv"
+    with pytest.warns(RuntimeWarning):
+        status = main(["distributions", "--mass", "0", "--t-end", "1e307", "--output", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == ("error: the field at t = 1e+307 has non-finite values; "
+                                       "its distributions cannot be computed\n")
     assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from dirac_decoherence.grid import (
     SpinorField,
     _fft_rows,
     build_initial,
+    check_mass,
     chirality_distributions,
     make_gaussian_packet,
     make_plane_wave,
@@ -46,6 +50,19 @@ def test_grid_rejects_non_integer_n(n_points):
 
 def test_grid_accepts_numpy_integer_n():
     assert Grid1D(20.0, np.int64(1024)).k.tobytes() == Grid1D(20.0, 1024).k.tobytes()
+
+
+def test_check_mass_bounds_the_square():
+    # The largest mass whose square is finite passes, the next float does not,
+    # and no numpy warning is raised on the way.
+    largest = math.sqrt(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_mass(largest)
+        check_mass(np.float64(largest))
+        for m in (math.nextafter(largest, math.inf), np.float64(1e200)):
+            with pytest.raises(ValueError, match=re.escape(f"mass = {m} is too large: its square overflows")):
+                check_mass(m)
 
 
 def test_gaussian_packet_normalized(grid):
