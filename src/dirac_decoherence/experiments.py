@@ -10,6 +10,8 @@ from one sample to the next; t = 0 itself always goes to the spectral engine.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,7 +51,27 @@ class ScenarioConfig:
         if self.engine == "kernel":
             for ti in t:  # each walk is checked before any step
                 kernel_engine.walk(float(ti), self.grid)
+        else:
+            _check_phases(float(t[-1]), self.grid, self.mass)
         object.__setattr__(self, "field0", build_initial(self.initial, self.grid))
+
+
+def _check_phases(t: float, grid: Grid1D, m: float) -> None:
+    """Reject a spectral time t whose largest phase omega_max * t overflows
+    float64, naming the largest time that does not, and a grid and mass whose
+    omega_max = sqrt(k_max^2 + m^2) overflows at any time."""
+    k_max = float(np.abs(grid.k).max())
+    omega_max = math.sqrt(k_max * k_max + m * m)  # Python floats: overflow gives inf, no warning
+    if not omega_max < math.inf:
+        raise ValueError(f"omega_max = sqrt(k_max^2 + m^2) overflows float64 (k_max = {k_max:.6g}, "
+                         f"m = {m}); the spectral engine cannot evolve on this grid")
+    if omega_max * t < math.inf:
+        return
+    largest = sys.float_info.max / omega_max
+    while not omega_max * largest < math.inf:
+        largest = math.nextafter(largest, 0.0)
+    raise ValueError(f"t = {t} is too long for the spectral engine: its phase omega*t overflows "
+                     f"float64 (omega_max = {omega_max:.6g}); the largest time is {largest}")
 
 
 @dataclass(frozen=True)

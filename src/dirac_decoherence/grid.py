@@ -59,13 +59,14 @@ _JOINT_FFT_MAX_POINTS = 8192
 
 
 def check_mass(m: float) -> None:
-    """Reject a mass that is negative, infinite or NaN, or whose square is not
-    finite (from about 1.34e154): both engines need m^2."""
+    """Reject a mass that is negative, infinite or NaN, or for which 2 m^2 is
+    not finite (from about 9.48e153): both engines need m^2, and the spectral
+    engine's eigenvectors sum m^2 + (k + omega)^2, about 2 m^2."""
     if not 0 <= m < np.inf:
         raise ValueError(f"mass must be nonnegative and finite, got {m}")
-    if not float(m) * float(m) < np.inf:  # Python floats: overflow gives inf, no warning
-        raise ValueError(f"mass = {m} is too large: its square overflows float64 "
-                         f"(the largest mass is about 1.34e154)")
+    if not 2.0 * float(m) * float(m) < np.inf:  # Python floats: overflow gives inf, no warning
+        raise ValueError(f"mass = {m} is too large: twice its square overflows float64 "
+                         f"(the largest mass is about 9.48e153)")
 
 
 def _fft_rows(rows: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,14 +119,32 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
+def _adopted(array, grid: Grid1D, name: str) -> np.ndarray:
+    """array as a read-only (2, N) complex array: adopted as it is if it is
+    C-contiguous, read-only and owns its data, copied otherwise."""
+    vals = np.asarray(array, dtype=np.complex128)
+    if vals.shape != (2, grid.n_points):
+        raise ValueError(f"{name} must have shape (2, {grid.n_points}), got {vals.shape}")
+    if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
+        vals = vals.copy()
+        vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True)
 class SpinorField:
     """Two-component spinor on a grid; values[0] is chirality -1, values[1] is +1.
 
-    values is read-only: a C-contiguous complex array that is read-only and
+    A field is made from its values, SpinorField(grid, values), or from their
+    spectrum, SpinorField.from_spectrum(grid, spectrum), the row transforms
+    _fft_rows(values).  It computes the other with _fft_rows the first time
+    it is read and keeps it, so a kernel walk, which steps spectra, inverts
+    only the fields whose values are read.
+
+    Both are read-only: a C-contiguous complex array that is read-only and
     owns its data is adopted as it is, and any other array (writeable, or a
     view of memory someone else owns) is copied.  So what is computed from
-    values is cached for the life of the field and never goes stale: per
+    them is cached for the life of the field and never goes stale: per
     (mass, coupling sign), the mode decomposition spectral.decompose returns
     (one extra (2, N) complex array of amplitudes each).
     """
@@ -134,15 +153,33 @@ class SpinorField:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (2, self.grid.n_points):
-            raise ValueError(
-                f"values must have shape (2, {self.grid.n_points}), got {vals.shape}"
-            )
-        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
-            vals = vals.copy()
-            vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _adopted(self.values, self.grid, "values"))
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> SpinorField:
+        """The field whose spectrum, _fft_rows(values), is spectrum; its values
+        are computed when first read."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "spectrum", _adopted(spectrum, grid, "spectrum"))
+        return field
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set: values, in a field made
+        # from its spectrum, is computed on its first read.
+        if name != "values" or "spectrum" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = _fft_rows(self.spectrum, inverse=True)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        return values
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """_fft_rows(values), read-only: numpy's unscaled transform of each row."""
+        spectrum = _fft_rows(self.values)
+        spectrum.flags.writeable = False
+        return spectrum
 
     @cached_property
     def _decompositions(self) -> dict:

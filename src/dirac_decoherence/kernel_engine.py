@@ -21,22 +21,36 @@ dx = 0.04 the norm is off by 5e-6 to 9e-5 at t = 1 for m from 0.5 to
 2), so evolve_to renormalizes the field it returns.  This engine serves as
 the independent validator of the spectral engine, which is exact in time.
 
-Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width.  A
-step transforms each field row once.  A walk lays each run of equal steps'
-three tap sets (same chirality -1, cross, same chirality +1) into the rows
-of one (3, N) block and transforms each row once; a correlation then
-multiplies a row spectrum by a tap spectrum into one fresh length-N array,
-the spectrum of its cone sum.  The step adds each new row's two cone spectra
-(same chirality and cross) into the array its new field adopts, inverts it
-in place and adds the two lightcone shifts to its rows.  A row's two cone
-sums, so added, differ from the two direct O(N j) sums by roundoff only: at
-most 1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap sets,
-as measured for N from 64 to 65536 and j from 1 to N/8.  A step costs 4
-length-N FFTs (2 row transforms, 2 inverses), plus 3 per distinct step
-length of the walk.  Rows are transformed by grid._fft_rows, the rule
-spectral uses too: at N <= 8192 the rows of an array go in one numpy call,
-so a step makes 2 calls and a tap build 1; past it a step makes 4 and a tap
-build 3.
+Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width,
+and a j-cell step is diagonal in the FFT index n: it multiplies the field's
+row spectra by the 2x2 symbol
+
+    K_j(n) = [[e^{i theta} + S-(n), C(n)], [C(n), e^{-i theta} + S+(n)]],
+    theta = 2 pi n j / N.
+
+S-, C and S+ are the spectra of the tap sets (same chirality -1, cross, same
+chirality +1) laid out cyclically, and the phases are the spectra of the
+lightcone deltas, weight 1 at offset -j and +j.  _tap_spectra adds each delta
+to its same-chirality taps before its one transform, so the rows of the
+(3, N) block it returns are the symbol's entries.  A step at m > 0 then reads
+its field's spectrum, writes the four cone_correlate products, row by row,
+into the spectrum of the field it returns, and makes no FFT: that field
+computes its values only when they are read (grid.SpinorField).  A walk costs
+1 forward transform of its first field (kept on the field, so a second walk
+from it pays none), 3 per distinct step length for the tap spectra, and 1
+inverse when evolve_to reads the last field's values to renormalize.  At
+m = 0 a step has no taps and shifts the rows in position space, bit for bit.
+Rows are transformed by grid._fft_rows, the rule spectral uses too: at
+N <= 8192 the rows of an array go in one numpy call, so a walk's first field
+and each tap build make 1 call and the last inverse 1; past it they make 2,
+3 and 2.
+
+Stepping spectra moves the result by roundoff only: one step is within
+6.0e-16 max|psi| of a step that inverts each row's two cone spectra and adds
+the shifts in position space (N from 1000 to 16384, j from 1 to N/8, m from
+0.5 to 2).  A row's two cone sums differ from the two direct O(N j) sums by
+at most 1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap
+sets, as measured for N from 64 to 65536 and j from 1 to N/8.
 """
 
 from __future__ import annotations
@@ -54,17 +68,20 @@ BACKEND_NAME = "numpy"
 WALK_STEP = 0.1
 
 
-def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int) -> np.ndarray:
+def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The spectrum of out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in
     [-j, j], from psi_hat = fft(psi) and taps_hat, a row of the _tap_spectra
-    block: psi_hat * taps_hat, in a fresh array, by the correlation theorem.
-    ifft of it is the cone sum; evolve_step adds two before it inverts.
+    block: psi_hat * taps_hat by the correlation theorem, written into out if
+    given and into a fresh array if not.  A same-chirality row carries its
+    lightcone delta, so its product is the spectrum of the shift and the cone
+    sum together; evolve_step adds two products per new row and inverts none.
 
     Both spectra are only read.  The product does not need half_width; it is
     the cone's j, which sets the N (2j + 1) multiply-adds of the direct sum
     this replaces, so a profiler wrapping the call can count them.
     """
-    return psi_hat * taps_hat
+    return np.multiply(psi_hat, taps_hat, out=out)
 
 
 def _step_count(dt: float, dx: float) -> int:
@@ -125,11 +142,12 @@ def walk(t: float, grid: Grid1D) -> list[tuple[int, int]]:
 
 
 def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
-    """The spectra of a j-cell step's tap sets as the rows of one read-only
+    """The entries of a j-cell step's symbol K_j as the rows of one read-only
     (3, N) block: same chirality -1, cross, same chirality +1.
 
-    Row r is fft(h) of its taps laid out cyclically, h[d mod N] = taps[d + j];
-    _check_cone caps j at N/8, so no two taps share a cell.
+    Row r is fft(h) of its taps laid out cyclically, h[d mod N] = taps[d + j],
+    with the lightcone delta, weight 1 at offset -j in row 0 and at +j in
+    row 2, added in; _check_cone caps j at N/8, so no two taps share a cell.
     """
     same, cross = _smooth_taps(j, grid.dx, m)
     n = grid.n_points
@@ -137,13 +155,21 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     for row, taps in zip(block, (same[-1], cross, same[1])):
         row[:j + 1] = taps[j:]
         row[n - j:] = taps[:j]
+    block[0, n - j] += 1.0
+    block[2, j] += 1.0
     _fft_rows(block, out=block)
     block.flags.writeable = False  # a walk shares it between steps
     return block
 
 
 def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | None = None) -> SpinorField:
-    """One propagator application: cyclic shift plus cone convolution.
+    """One propagator application: lightcone shift plus cone convolution.
+
+    At m > 0 the step multiplies the field's spectrum by the symbol K_j
+    (module docstring), with no FFT: its four cone_correlate products go row
+    by row into the spectrum of the field it returns.  The input's spectrum
+    is computed once if it was made from values; a field a step made has it.
+    At m = 0 the step shifts the rows in position space, signed zeros and all.
 
     m must be nonnegative and finite.  dt must be a nonnegative integer
     multiple of the grid spacing and small enough that the lightcone stays
@@ -157,40 +183,39 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
     if j == 0:
         return field
     _check_cone(dt, grid)
+    n = grid.n_points
     if m == 0:
-        # -0.0 is the exact identity of +, so adding the shifts below gives
-        # them bit for bit.
-        values = np.full((2, grid.n_points), complex(-0.0, -0.0))
-    else:
-        same_minus, cross, same_plus = _tap_spectra(j, grid, m) if spectra is None else spectra
-        minus_hat, plus_hat = _fft_rows(field.values)
-        # Each new row's two cone sums are added as spectra in the fresh array
-        # the new field adopts, row by row so that one product at a time is
-        # held beside it, and inverted in place once the field spectra are
-        # dropped.
-        values = np.empty((2, grid.n_points), dtype=np.complex128)
-        values[0] = cone_correlate(minus_hat, same_minus, j)
-        values[0] += cone_correlate(plus_hat, cross, j)
-        values[1] = cone_correlate(plus_hat, same_plus, j)
-        values[1] += cone_correlate(minus_hat, cross, j)
-        del minus_hat, plus_hat
-        _fft_rows(values, inverse=True, out=values)
-    # Delta term: component alpha translated by alpha*dt, that is np.roll by
-    # alpha*j, added to the rows.
-    minus, plus = field.values
-    out_minus, out_plus = values
-    out_minus[:-j] += minus[j:]
-    out_minus[-j:] += minus[:j]
-    out_plus[j:] += plus[:-j]
-    out_plus[:j] += plus[-j:]
-    values.flags.writeable = False  # so the field adopts it without a copy
-    return SpinorField(grid, values)
+        # Component alpha translated by alpha*dt, that is np.roll by alpha*j.
+        minus, plus = field.values
+        values = np.empty((2, n), dtype=np.complex128)
+        out_minus, out_plus = values
+        out_minus[:-j], out_minus[-j:] = minus[j:], minus[:j]
+        out_plus[j:], out_plus[:j] = plus[:-j], plus[-j:]
+        values.flags.writeable = False  # so the field adopts it without a copy
+        return SpinorField(grid, values)
+    same_minus, cross, same_plus = _tap_spectra(j, grid, m) if spectra is None else spectra
+    minus_hat, plus_hat = field.spectrum
+    spectrum = np.empty((2, n), dtype=np.complex128)
+    new_minus, new_plus = spectrum
+    # Each new row is its same-chirality product plus its cross product, the
+    # second made in one scratch row.
+    scratch = np.empty(n, dtype=np.complex128)
+    cone_correlate(minus_hat, same_minus, j, out=new_minus)
+    new_minus += cone_correlate(plus_hat, cross, j, out=scratch)
+    cone_correlate(plus_hat, same_plus, j, out=new_plus)
+    new_plus += cone_correlate(minus_hat, cross, j, out=scratch)
+    spectrum.flags.writeable = False  # adopted, as values are
+    return SpinorField.from_spectrum(grid, spectrum)
 
 
 def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     """Evolve to time t along walk(t, grid), then renormalize; t = 0 returns the field.
 
-    Each run of equal steps shares one build of its tap spectra (none at m = 0).
+    Each run of equal steps shares one build of its tap spectra (none at
+    m = 0), dropped before the next run's.  At m > 0 the walk steps spectra,
+    and only the last field's values are computed, to renormalize.  A walk
+    whose norm is not finite and positive (its taps overflow at a huge mass)
+    is rejected by name.
     """
     check_mass(m)
     grid = field.grid
@@ -202,6 +227,11 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
         spectra = _tap_spectra(cells, grid, m) if m != 0 else None
         for _ in range(count):
             out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
-    values = out.values / np.sqrt(norm(out))
+        del spectra
+    total = norm(out)
+    if not 0 < total < np.inf:
+        raise ValueError(f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, "
+                         f"not finite and positive, so it cannot be renormalized")
+    values = out.values / np.sqrt(total)
     values.flags.writeable = False  # adopted, as in evolve_step
-    return SpinorField(out.grid, values)
+    return SpinorField(grid, values)

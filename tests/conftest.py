@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -17,3 +18,19 @@ def grid():
 def equal_packet(grid):
     """Unit-width Gaussian in an equal chirality superposition at the origin."""
     return make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of the np.fft.fft and np.fft.ifft calls made since the fixture was set up."""
+    calls = {"fft": 0, "ifft": 0}
+
+    def counting(name, transform):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls

@@ -11,10 +11,12 @@ check its projection bit for bit.
 
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the full 42-term series
-recurrence, and a kernel step whose cone sums lay out the taps by index
-array and transform out of place, adding each field row's two cone spectra
-before one inverse.  The step with one inverse per cone sum is kept as a
-second reference, equal to the first up to roundoff.
+recurrence, and a kernel step that takes a field's spectrum to the next
+one, multiplying it by symbol rows made from taps laid out by index array,
+with the lightcone deltas, and transformed out of place.  Two position-space
+steps are kept as references equal to it up to roundoff: one adds each
+field row's two cone spectra before one inverse and adds the shifts after
+it, the other inverts each cone sum on its own.
 """
 
 import mpmath
@@ -129,9 +131,30 @@ def _step_taps(dx: float, m: float, j: int):
     return same, cross
 
 
-def kernel_step_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
-    """One j-cell kernel step of a (2, N) field: each row's two cone spectra
-    added, inverted once out of place and added to the np.roll shift."""
+def symbol_rows_reference(dx: float, m: float, j: int, n: int) -> np.ndarray:
+    """A j-cell step's symbol rows (same chirality -1, cross, same chirality +1):
+    each tap set laid by tap_layout_reference, the lightcone deltas added at
+    offset -j in the first row and +j in the last, each row transformed on its
+    own, out of place."""
+    same, cross = _step_taps(dx, m, j)
+    rows = [tap_layout_reference(taps, j, n) for taps in (same[-1], cross, same[1])]
+    rows[0][-j % n] += 1.0
+    rows[2][j % n] += 1.0
+    return np.stack([np.fft.fft(h) for h in rows])
+
+
+def kernel_step_reference(psi_hat: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
+    """One j-cell kernel step of a (2, N) field spectrum, spectrum in and out:
+    each new row is its same-chirality product plus its cross product."""
+    same_minus, cross, same_plus = symbol_rows_reference(dx, m, j, psi_hat.shape[1])
+    minus_hat, plus_hat = psi_hat
+    return np.stack([minus_hat * same_minus + plus_hat * cross, plus_hat * same_plus + minus_hat * cross])
+
+
+def kernel_step_position_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
+    """One j-cell kernel step of a (2, N) field in position space: each row's
+    two cone spectra added, inverted once out of place and added to the
+    np.roll shift."""
     same, cross = _step_taps(dx, m, j)
     minus, plus = values
     out_minus = np.roll(minus, -j).astype(np.complex128)
@@ -144,9 +167,9 @@ def kernel_step_reference(values: np.ndarray, dx: float, m: float, j: int) -> np
 
 
 def kernel_step_four_inverses_reference(values: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
-    """The same step with each of the four cone sums inverted on its own and
-    added to the shift in turn; it differs from kernel_step_reference by
-    roundoff only."""
+    """The position-space step with each of the four cone sums inverted on its
+    own and added to the shift in turn; it differs from the other two
+    references by roundoff only."""
     same, cross = _step_taps(dx, m, j)
     minus, plus = values
     out_minus = np.roll(minus, -j).astype(np.complex128)

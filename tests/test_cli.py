@@ -21,8 +21,8 @@ from dirac_decoherence.cli import (
     write_csv,
     write_svg_plot,
 )
-from dirac_decoherence.experiments import FIGURES, FigureDataset, build_initial
-from dirac_decoherence.grid import SpinorField
+from dirac_decoherence.experiments import FIGURES, FigureDataset, ScenarioConfig, build_initial
+from dirac_decoherence.grid import InitialSpec, SpinorField
 
 
 def test_parse_defaults():
@@ -420,9 +420,9 @@ def test_figures_match_recorded_digests(tmp_path):
 # phased, off-centre spinor.  Recorded with numpy 2.4.
 REQUEST_DIGESTS = {
     "entropy-curve --engine kernel --mass 1.3 --times 0.0390625,0.1171875,0.5078125":
-        "38c0faa536371306795fae63fbfe5e56f1852216536085d92405a692990e512f",
+        "8d1c69ac38ec7d150b6ed6ba82267d5dbdfbe22afe81099ad32992e2ccaff75f",
     "distributions --engine kernel --mass 2 --t-end 0.5078125":
-        "77f483ecba4c0596dd173f1d1480ad1933599467ddf8447c21d7cb1f29b9780b",
+        "6fa2973f33e20c2587309676bb6bd712c5c932fd0d058ce668d82f2ab1b9a61f",
     "entropy-curve --kind plane_wave --mode-index 7 --energy-sign -1 --mass 0.5 --t-end 1 --t-step 0.25":
         "d9f7778fd603300630c5bad6f7b8c56fdbbee4fd3234c4850ed69a9bfd92d72a",
     "entropy-curve --kind positive_energy_packet --mass 2 --t-end 1 --t-step 0.1":
@@ -632,10 +632,13 @@ def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
     ["distributions", "--mass", "1e200", "--t-end", "0.5"],
     ["distributions", "--engine", "kernel", "--mass", "1e200", "--t-end", "0.5078125"],
     ["entropy-curve", "--mass", "1e155", "--t-end", "0.1", "--t-step", "0.1"],
-], ids=["spectral", "kernel", "entropy-curve"])
+    ["entropy-curve", "--mass", "9.5e153", "--t-end", "0.1", "--t-step", "0.1"],
+], ids=["spectral", "kernel", "entropy-curve", "twice-the-square"])
 def test_mass_whose_square_overflows_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args):
     # m^2 overflows from about 1.34e154; such a mass once gave all-NaN
     # distributions with exit 0, or numpy warnings and exit 2 after the run.
+    # 2 m^2, which the spectral engine needs, overflows from about 9.48e153:
+    # 9.5e153 once failed after the run on a zero field norm.
     monkeypatch.setattr(cli, "run_scenario", _no_work)
     monkeypatch.setattr(cli, "distribution_dataset", _no_work)
     out = tmp_path / "x.csv"
@@ -644,22 +647,54 @@ def test_mass_whose_square_overflows_exits_1_before_any_work(tmp_path, capsys, m
         assert main([*args, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     mass = float(args[args.index("--mass") + 1])
-    assert err == f"error: mass = {mass} is too large: its square overflows float64 " \
-                  "(the largest mass is about 1.34e154)\n"
+    assert err == f"error: mass = {mass} is too large: twice its square overflows float64 " \
+                  "(the largest mass is about 9.48e153)\n"
     assert not out.exists()
 
 
 def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
-    # omega * t overflows at t = 1e307 (numpy warns of the overflow and of the
-    # exp of inf), so the evolved field is NaN: the request fails by name after
-    # the run, and writes no CSV of NaN.
+    # At these masses the kernel's taps overflow (numpy warns), and the
+    # field's norm is infinite or NaN.  The walk is rejected by name after
+    # the run and no CSV is written; it used to hold 1024 rows of 0,0 (or of
+    # nan,nan) with exit 0.
     out = tmp_path / "x.csv"
-    with pytest.warns(RuntimeWarning):
-        status = main(["distributions", "--mass", "0", "--t-end", "1e307", "--output", str(out)])
-    assert status == 2
-    assert capsys.readouterr().err == ("error: the field at t = 1e+307 has non-finite values; "
-                                       "its distributions cannot be computed\n")
+    for mass, total in (("1e20", "inf"), ("1e40", "nan")):
+        with pytest.warns(RuntimeWarning):
+            status = main(["distributions", "--engine", "kernel", "--mass", mass, "--t-end", "0.5078125",
+                           "--output", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == (f"error: the kernel walk to t = 0.5078125 at mass = "
+                                           f"{float(mass)} ends with norm {total}, not finite and "
+                                           f"positive, so it cannot be renormalized\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["distributions", "--mass", "0", "--t-end", "1e307"],
+    ["entropy-curve", "--mass", "0.03", "--times", "0,1e307"],
+], ids=["distributions", "entropy-curve"])
+def test_spectral_time_whose_phase_overflows_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args):
+    # omega_max * t overflows on the figure grid (omega_max = 80.4 at m = 0):
+    # this once printed numpy's overflow and exp warnings and exited 2 after
+    # the run.  The largest time named passes, the next float does not; at
+    # m = 0.03 that time is one float below max/omega_max, whose phase
+    # rounds to inf.
+    monkeypatch.setattr(cli, "run_scenario", _no_work)
+    monkeypatch.setattr(cli, "distribution_dataset", _no_work)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t = 1e+307 is too long for the spectral engine: its phase omega*t "
+                          "overflows float64 (omega_max = ")
     assert not out.exists()
+    largest = float(err.split("the largest time is ")[1])
+    mass = float(args[args.index("--mass") + 1])
+    spec = InitialSpec(kind="gaussian_packet", mass=mass)
+    ScenarioConfig(mass, spec, times=(largest,))
+    with pytest.raises(ValueError, match="too long for the spectral engine"):
+        ScenarioConfig(mass, spec, times=(math.nextafter(largest, math.inf),))
 
 
 @pytest.mark.parametrize("args,pair,printed", [

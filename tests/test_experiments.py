@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from dirac_decoherence.experiments import (
     entropy_curve,
     run_scenario,
 )
-from dirac_decoherence.grid import build_initial
+from dirac_decoherence.grid import Grid1D, build_initial
 
 from oracles import binary_entropy_bits, massless_off_diagonal
 
@@ -95,6 +96,36 @@ def test_engines_agree_on_entropy():
 def test_kernel_check_does_not_grow_with_time():
     # t = 1e8 on the figure grid is 8.5e8 steps; checking it plans two runs.
     ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(1e8,), engine="kernel")
+
+
+def test_spectral_config_rejects_a_frequency_that_overflows():
+    # k_max = pi/dx is 1.6e303 on this grid, so k_max^2 overflows and the
+    # spectral engine cannot evolve at any time, t = 0 included; the check
+    # runs before the initial field is built, with no numpy warning.
+    spec = InitialSpec(kind="gaussian_packet", mass=1.0, width=1e-302)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"omega_max = sqrt\(k_max\^2 \+ m\^2\) overflows float64 "
+                                             r"\(k_max = 1.6085e\+303, m = 1.0\)"):
+            ScenarioConfig(mass=1.0, initial=spec, times=(0.0,), grid=Grid1D(1e-300, 1024))
+
+
+def test_kernel_request_transform_calls(fft_calls):
+    # The benchmark's kernel_desk request: 51 samples of 1 to 51 cells on the
+    # figure grid, each walked from field0 in 3-cell steps.  Over the 51
+    # walks the taps are built 83 times (once per step length of a walk) and
+    # each walk inverts its last field once; field0 is transformed on the
+    # first request and keeps its spectrum, so a repeated request makes 134
+    # numpy FFT calls (1001 when every step transformed and inverted its rows).
+    grid = experiments.DEFAULT_GRID
+    cfg = ScenarioConfig(mass=1.3, initial=equal_superposition(1.3), engine="kernel",
+                         times=tuple(i * grid.dx for i in range(1, 52)))
+    fft_calls.update(fft=0, ifft=0)
+    run_scenario(cfg)
+    assert fft_calls == {"fft": 1 + 83, "ifft": 51}
+    fft_calls.update(fft=0, ifft=0)
+    run_scenario(cfg)
+    assert fft_calls == {"fft": 83, "ifft": 51}
 
 
 def test_kernel_engine_rejects_non_commensurate_times():

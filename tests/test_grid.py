@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,15 +54,20 @@ def test_grid_accepts_numpy_integer_n():
 
 
 def test_check_mass_bounds_the_square():
-    # The largest mass whose square is finite passes, the next float does not,
-    # and no numpy warning is raised on the way.
-    largest = math.sqrt(sys.float_info.max)
+    # The largest mass for which 2 m^2 is finite (the spectral engine sums
+    # m^2 + (k + omega)^2) passes, the next float does not, nor does the
+    # largest mass whose square is finite, and no numpy warning is raised on
+    # the way.
+    largest = math.sqrt(sys.float_info.max / 2)
+    assert largest == 9.480751908109176e153
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check_mass(largest)
         check_mass(np.float64(largest))
-        for m in (math.nextafter(largest, math.inf), np.float64(1e200)):
-            with pytest.raises(ValueError, match=re.escape(f"mass = {m} is too large: its square overflows")):
+        for m in (math.nextafter(largest, math.inf), math.sqrt(sys.float_info.max), np.float64(1e200)):
+            with pytest.raises(ValueError, match=re.escape(f"mass = {m} is too large: twice its square "
+                                                           f"overflows float64 (the largest mass is about "
+                                                           f"9.48e153)")):
                 check_mass(m)
 
 
@@ -277,6 +283,48 @@ def test_field_adopts_a_read_only_array_it_owns(grid):
     fortran.flags.writeable = False
     copied = SpinorField(grid, fortran).values
     assert copied is not fortran and copied.flags.c_contiguous
+
+
+def test_field_made_from_its_spectrum_computes_its_values_once(grid):
+    rng = np.random.default_rng(5)
+    spectrum = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
+    field = SpinorField.from_spectrum(grid, spectrum)
+    original, expected = spectrum.copy(), np.fft.ifft(spectrum, axis=1)
+    spectrum[:] = 7.0  # a writeable array is copied
+    assert set(vars(field)) == {"grid", "spectrum"}
+    values = field.values
+    assert set(vars(field)) == {"grid", "spectrum", "values"}
+    assert field.values is values and values.tobytes() == expected.tobytes()
+    assert field.spectrum.tobytes() == original.tobytes()
+    for array in (field.values, field.spectrum):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    with pytest.raises(AttributeError, match="has no attribute 'amplitudes'"):
+        field.amplitudes
+    # replace makes a field from the values, with the same bits.
+    assert replace(field).values.tobytes() == values.tobytes()
+
+
+def test_field_made_from_its_values_computes_its_spectrum_once(grid):
+    values = make_gaussian_packet(grid, 0.3, 1.0, (1.0, 0.5j)).values
+    field = SpinorField(grid, values)
+    assert set(vars(field)) == {"grid", "values"}
+    spectrum = field.spectrum
+    assert field.spectrum is spectrum and spectrum.tobytes() == np.fft.fft(values, axis=1).tobytes()
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 0.0
+
+
+def test_field_adopts_a_read_only_spectrum_it_owns_and_checks_its_shape(grid):
+    owned = np.ones((2, grid.n_points), dtype=np.complex128)
+    owned.flags.writeable = False
+    assert SpinorField.from_spectrum(grid, owned).spectrum is owned
+    with pytest.raises(ValueError, match=re.escape(f"spectrum must have shape (2, {grid.n_points}), "
+                                                   f"got (2, 512)")):
+        SpinorField.from_spectrum(grid, np.ones((2, 512)))
+    with pytest.raises(ValueError, match=re.escape(f"spectrum must have shape (2, {grid.n_points}), "
+                                                   f"got ({grid.n_points},)")):
+        SpinorField.from_spectrum(grid, owned[0])
 
 
 @pytest.mark.parametrize("n_points", [_JOINT_FFT_MAX_POINTS, 2 * _JOINT_FFT_MAX_POINTS])

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from dirac_decoherence import kernel_engine, spectral
 from dirac_decoherence.grid import Grid1D, SpinorField, make_gaussian_packet, norm
 
-from oracles import kernel_step_four_inverses_reference, kernel_step_reference
+from oracles import (
+    kernel_step_four_inverses_reference,
+    kernel_step_position_reference,
+    kernel_step_reference,
+)
 
 
 def rel_l2(a, b):
@@ -53,28 +59,46 @@ def test_smooth_taps_component_structure():
 STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000, 41: 16384}
 
 
+def random_values(n_points, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, n_points)) + 1j * rng.normal(size=(2, n_points))
+
+
 @pytest.mark.parametrize("j", list(STEP_GRIDS))
 @pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
 def test_step_bitwise_equal_to_reference(j, m):
-    # The full Bessel series, index-array tap layout and out-of-place FFTs
-    # give the same bits as the early-stopped series, the sliced tap block
-    # and in-place transforms.
+    # The full Bessel series, index-array tap layout with the lightcone
+    # deltas and out-of-place FFTs give the same bits as the early-stopped
+    # series, the sliced tap block and in-place transforms: the step's
+    # spectrum, and its values when they are read.
     grid = Grid1D(20.0, STEP_GRIDS[j])
-    rng = np.random.default_rng(j)
-    values = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
+    values = random_values(grid.n_points, j)
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
-    assert out.values.tobytes() == kernel_step_reference(values, grid.dx, m, j).tobytes()
+    expected = kernel_step_reference(np.fft.fft(values, axis=1), grid.dx, m, j)
+    assert out.spectrum.tobytes() == expected.tobytes()
+    assert out.values.tobytes() == np.fft.ifft(expected, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("j", list(STEP_GRIDS))
+@pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
+def test_step_within_roundoff_of_position_step(j, m):
+    # Stepping the spectrum moves the step by roundoff only from adding the
+    # lightcone shifts in position space to each row's inverted cone sums
+    # (at most 6.0e-16 max|psi| over these cases).
+    grid = Grid1D(20.0, STEP_GRIDS[j])
+    values = random_values(grid.n_points, j)
+    out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
+    position = kernel_step_position_reference(values, grid.dx, m, j)
+    assert np.abs(out.values - position).max() <= 2e-15 * np.abs(values).max()
 
 
 @pytest.mark.parametrize("j", list(STEP_GRIDS))
 @pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
 def test_step_within_roundoff_of_four_inverses(j, m):
-    # Adding each row's two cone spectra before one inverse moves the step
-    # by roundoff only from inverting each of the four cone sums on its own
-    # (at most 2.4e-16 max|psi| over these cases).
+    # Nor does it move by more than roundoff from inverting each of the four
+    # cone sums on its own.
     grid = Grid1D(20.0, STEP_GRIDS[j])
-    rng = np.random.default_rng(j)
-    values = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(size=(2, grid.n_points))
+    values = random_values(grid.n_points, j)
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
     four = kernel_step_four_inverses_reference(values, grid.dx, m, j)
     assert np.abs(out.values - four).max() <= 1e-15 * np.abs(values).max()
@@ -87,55 +111,61 @@ def test_step_within_roundoff_of_four_inverses(j, m):
 )
 def test_step_is_diagonal_in_the_fft_index(n_points, j, m):
     # A j-cell step multiplies fft(psi) at each index n by the 2x2 symbol
-    # [[e^{i theta} + S-, C], [C, e^{-i theta} + S+]], theta = 2 pi n j / N:
-    # the lightcone shifts give the phases and the cone sums the rows of
-    # _tap_spectra, the spectra of the taps laid at offsets d mod N (all zero
-    # at m = 0, where a step skips them).
+    # [[e^{i theta} + S-, C], [C, e^{-i theta} + S+]], theta = 2 pi n j / N,
+    # whose entries are the rows of _tap_spectra: the spectra of the taps
+    # laid at offsets d mod N, with the lightcone deltas at -j and +j giving
+    # the phases (the taps are all zero at m = 0, where a step shifts the
+    # rows in position space).
     grid = Grid1D(20.0, n_points)
     spectra = kernel_engine._tap_spectra(j, grid, m)
     same, cross_taps = kernel_engine._smooth_taps(j, grid.dx, m)
     laid = np.zeros((3, n_points), dtype=np.complex128)
     laid[:, np.arange(-j, j + 1) % n_points] = [same[-1], cross_taps, same[1]]
+    taps_hat = np.fft.fft(laid, axis=1)
+    laid[0, -j % n_points] += 1.0
+    laid[2, j] += 1.0
     assert np.array_equal(spectra, np.fft.fft(laid, axis=1))
-    rng = np.random.default_rng(n_points + j)
-    values = rng.normal(size=(2, n_points)) + 1j * rng.normal(size=(2, n_points))
+    shift = np.exp(2j * np.pi * np.arange(n_points) * j / n_points)
+    assert np.abs(spectra - taps_hat - [shift, np.zeros_like(shift), shift.conj()]).max() < 1e-12
+    values = random_values(n_points, n_points + j)
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
     minus_hat, plus_hat = np.fft.fft(values, axis=1)
     same_minus, cross, same_plus = spectra
-    shift = np.exp(2j * np.pi * np.arange(n_points) * j / n_points)
     expected = np.array([
-        (shift + same_minus) * minus_hat + cross * plus_hat,
-        cross * minus_hat + (shift.conj() + same_plus) * plus_hat,
+        same_minus * minus_hat + cross * plus_hat,
+        cross * minus_hat + same_plus * plus_hat,
     ])
     tol = 1e-12 * np.abs([minus_hat, plus_hat]).max()
-    assert np.abs(np.fft.fft(out.values, axis=1) - expected).max() < tol
+    assert np.abs(out.spectrum - expected).max() < tol
 
 
 @pytest.mark.parametrize(
-    "n_points,step_calls,tap_calls", [(1024, (1, 1), (1, 0)), (16384, (2, 2), (3, 0))],
+    "n_points,cells,row_calls,walk_calls,rewalk_calls",
+    [(1024, 10, 1, (3, 1), (2, 1)), (16384, 100, 2, (8, 2), (6, 2))],
     ids=["n1024", "n16384"],
 )
-def test_numpy_transform_calls_per_step(n_points, step_calls, tap_calls, monkeypatch):
-    # Up to the joint-call threshold a step transforms both field rows in one
-    # numpy call, inverts both rows' summed cone spectra in one, and a tap
-    # build transforms its three rows in one; past it, one call per row.
+def test_numpy_transform_calls_per_step(n_points, cells, row_calls, walk_calls, rewalk_calls, fft_calls):
+    # Up to the joint-call threshold a field's two rows go in one numpy call
+    # and a tap build's three in one; past it, one call per row.  A step from
+    # a field a step made multiplies spectra and makes no call; reading its
+    # values inverts its rows, once.  A walk (10 cells: 3 + 3 + 3 + 1; 100
+    # cells: 41 + 41 + 18) transforms its first field, builds taps once per
+    # step length and inverts its last field; the first field keeps its
+    # spectrum, so a second walk from it makes no forward call for it.
     grid = Grid1D(20.0, n_points)
-    field = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
-    calls = {"fft": 0, "ifft": 0}
-
-    def counting(name, transform):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     spectra = kernel_engine._tap_spectra(3, grid, 1.0)
-    assert (calls["fft"], calls["ifft"]) == tap_calls
-    calls.update(fft=0, ifft=0)
-    kernel_engine.evolve_step(field, 1.0, 3 * grid.dx, spectra=spectra)
-    assert (calls["fft"], calls["ifft"]) == step_calls
+    stepped = kernel_engine.evolve_step(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0, 3 * grid.dx,
+                                        spectra=spectra)
+    fft_calls.update(fft=0, ifft=0)
+    twice = kernel_engine.evolve_step(stepped, 1.0, 3 * grid.dx, spectra=spectra)
+    assert fft_calls == {"fft": 0, "ifft": 0}
+    assert twice.values is twice.values
+    assert fft_calls == {"fft": 0, "ifft": row_calls}
+    fresh = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
+    for expected in (walk_calls, rewalk_calls):
+        fft_calls.update(fft=0, ifft=0)
+        kernel_engine.evolve_to(fresh, 1.0, cells * grid.dx)
+        assert (fft_calls["fft"], fft_calls["ifft"]) == expected
 
 
 @pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
@@ -151,6 +181,18 @@ def test_kernel_rejects_a_mass_it_cannot_use(equal_packet, m, monkeypatch):
         kernel_engine.evolve_step(equal_packet, m, dt)
     with pytest.raises(ValueError, match=message):
         kernel_engine.evolve_to(equal_packet, m, dt)
+
+
+@pytest.mark.parametrize("m,total", [(1e20, "inf"), (1e40, "nan")])
+def test_evolve_to_rejects_a_norm_that_is_not_finite(equal_packet, m, total):
+    # The taps overflow at these masses (numpy warns): the walk ends with an
+    # infinite or NaN norm, and is rejected by name where it used to be
+    # divided out to an all-zero or all-NaN field.
+    t = 13 * equal_packet.grid.dx
+    message = (f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, not finite and "
+               f"positive, so it cannot be renormalized")
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernel_engine.evolve_to(equal_packet, m, t)
 
 
 def test_massless_step_is_pure_translation(equal_packet):
@@ -249,15 +291,19 @@ def test_evolve_to_walk_steps(equal_packet, monkeypatch):
 )
 def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, monkeypatch):
     # A walk of equal steps and a shorter last one gives the bits of the
-    # reference steps chained and renormalized, and builds taps once per
-    # distinct step length (never at m = 0).
+    # reference steps chained and renormalized (spectra at m > 0, inverted
+    # once at the end; position-space shifts at m = 0), and builds taps once
+    # per distinct step length (never at m = 0).
     g = Grid1D(20.0, n_points)
     f = make_gaussian_packet(g, 0.3, 1.2, (1.0, np.exp(0.7j)))
     assert kernel_engine.walk(cells * g.dx, g) == walked
-    values = f.values
+    values = f.values if m == 0 else np.fft.fft(f.values, axis=1)
+    step = kernel_step_position_reference if m == 0 else kernel_step_reference
     for j, count in walked:
         for _ in range(count):
-            values = kernel_step_reference(values, g.dx, m, j)
+            values = step(values, g.dx, m, j)
+    if m != 0:
+        values = np.fft.ifft(values, axis=1)
     values = values / np.sqrt(norm(SpinorField(g, values)))
     calls = []
     smooth_taps = kernel_engine._smooth_taps
