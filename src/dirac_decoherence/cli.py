@@ -17,13 +17,13 @@ subcommand uses; it rejects any other flag or key.  Options may come from a
 override file values.  --dump-config prints the effective configuration in
 the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
-(for the kernel engine, a time that is not a whole number of cells), before
-any evolution; 2 a failure after the run started, such as an output that
-cannot be written or that is also the path of one of the figure's insets,
-or a field that is not finite (distributions at a t where omega * t
-overflows).  A request the host has no memory for (say, a sample grid of
-1e12 times) prints one error line like any other and exits 1 or 2 by the
-same rule.
+(a time whose phase omega * t overflows float64; for the kernel engine, a
+time that is not a whole number of cells), before any evolution; 2 a failure
+after the run started, such as an output that cannot be written or that is
+also the path of one of the figure's insets, or a field that is not finite
+(a kernel walk at a mass such as 1e20).  A request the host has no memory
+for (say, a sample grid of 1e12 times) prints one error line like any other
+and exits 1 or 2 by the same rule.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .density import binary_entropy
 from .experiments import (
     FIGURES,
     DEFAULT_GRID,
@@ -376,14 +377,6 @@ def write_svg_plot(dataset: FigureDataset, path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _binary_entropy(p: float) -> float:
-    s = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0:
-            s -= q * np.log2(q)
-    return s
-
-
 def validate() -> int:
     """Fast release checks, each run as requests down the path entropy-curve takes;
     prints one line per check, returns 0 iff all pass."""
@@ -394,7 +387,7 @@ def validate() -> int:
     dev = 0.0
     for t, rho01, entropy in zip(trace.times.tolist(), trace.rho01, trace.entropy):
         expected_off = np.exp(-t * t) / 2.0
-        dev = max(dev, abs(rho01 - expected_off), abs(entropy - _binary_entropy(0.5 + expected_off)))
+        dev = max(dev, abs(rho01 - expected_off), abs(entropy - binary_entropy(0.5 + expected_off)))
     checks.append(("massless-closed-form", dev, 1e-6))
 
     dev = 0.0

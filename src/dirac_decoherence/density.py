@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import SpinorField
-from .spectral import ModeDecomposition, mode_phases
+from .spectral import ModeDecomposition, evolve_modes, mode_spectrum
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -101,34 +101,30 @@ def reduce(field: SpinorField) -> ReducedDensityMatrix:
 
 
 def reduce_from_modes(modes: ModeDecomposition, t: float) -> ReducedDensityMatrix:
-    """Momentum-space route: per-k outer products with phases exp(-i eps w t).
+    """Momentum-space route: per-k outer products of the modes evolved to t.
 
     Cross-sign terms at the same momentum carry exp(-+2 i w t); they are the
     only time dependence, and vanish unless both energy signs are populated.
     """
-    phase = mode_phases(modes.basis.omega, t)
-    psi_hat = (
-        modes.amp_plus * phase * modes.basis.u_plus
-        + modes.amp_minus * np.conj(phase) * modes.basis.u_minus
-    )
+    psi_hat = mode_spectrum(evolve_modes(modes, t))
     rho = np.einsum("an,bn->ab", psi_hat, psi_hat.conj())
     rho = (rho + rho.conj().T) / 2.0
     return ReducedDensityMatrix(rho)
 
 
-def eigenvalues2(rho: ReducedDensityMatrix) -> tuple[float, float]:
-    """Spectrum (descending), clamped to [0, 1] and renormalized to sum 1."""
-    hi = min(max(rho.eigenvalues[0], 0.0), 1.0)
-    return hi, 1.0 - hi
+def binary_entropy(p: float) -> float:
+    """-sum q log2 q over q in (p, 1 - p), with p clamped to [0, 1] and 0 log 0 = 0."""
+    p = min(max(p, 0.0), 1.0)
+    s = 0.0
+    for q in (p, 1.0 - p):
+        if q > 0.0:
+            s -= q * np.log2(q)
+    return s
 
 
 def entropy_bits(rho: ReducedDensityMatrix) -> float:
-    """von Neumann entropy -Tr rho log2 rho, with 0 log 0 = 0."""
-    s = 0.0
-    for lam in eigenvalues2(rho):
-        if lam > 0.0:
-            s -= lam * np.log2(lam)
-    return s
+    """von Neumann entropy -Tr rho log2 rho of the clamped spectrum, with 0 log 0 = 0."""
+    return binary_entropy(rho.eigenvalues[0])
 
 
 def decoherence_predicate(modes: ModeDecomposition, tol: float) -> bool:

@@ -51,20 +51,21 @@ class ScenarioConfig:
         if self.engine == "kernel":
             for ti in t:  # each walk is checked before any step
                 kernel_engine.walk(float(ti), self.grid)
-        else:
-            _check_phases(float(t[-1]), self.grid, self.mass)
+        # For either engine: the initial field and the t = 0 sample may take the spectral route.
+        _check_phases(float(t[-1]), self.grid, self.mass)
         object.__setattr__(self, "field0", build_initial(self.initial, self.grid))
 
 
 def _check_phases(t: float, grid: Grid1D, m: float) -> None:
-    """Reject a spectral time t whose largest phase omega_max * t overflows
-    float64, naming the largest time that does not, and a grid and mass whose
+    """Reject a time t whose largest phase omega_max * t overflows float64,
+    naming the largest time that does not, and a grid and mass whose
     omega_max = sqrt(k_max^2 + m^2) overflows at any time."""
     k_max = float(np.abs(grid.k).max())
     omega_max = math.sqrt(k_max * k_max + m * m)  # Python floats: overflow gives inf, no warning
     if not omega_max < math.inf:
         raise ValueError(f"omega_max = sqrt(k_max^2 + m^2) overflows float64 (k_max = {k_max:.6g}, "
-                         f"m = {m}); the spectral engine cannot evolve on this grid")
+                         f"m = {m}); the spectral route, which either engine may take (initial "
+                         f"states, t = 0), cannot run on this grid at this mass")
     if omega_max * t < math.inf:
         return
     largest = sys.float_info.max / omega_max

@@ -12,13 +12,13 @@ i m J0 / 2.  Eigenvalues are eps*omega with omega = sqrt(k^2 + m^2), and
 evolution multiplies each mode amplitude by exp(-i eps omega t).
 
 Mode amplitudes are normalized so that sum_k,eps |amp|^2 equals the field's
-probability integral (forward transform scaled by sqrt(dx/N)).  A field keeps
-one cache: per (mass, coupling sign), its decomposition, whose two amplitude
-rows share one read-only (2, N) complex array; the forward transform is a
-temporary of the decompose call that fills the entry.  So a trace that
-evolves one field to many times takes one FFT and one projection; each sample
-pays only its phases and one inverse FFT, which reconstruct writes into the
-array it hands to the new field.
+probability integral (forward transform scaled by sqrt(dx/N)).  A field caches,
+per (mass, coupling sign), its decomposition, whose two amplitude rows share
+one read-only (2, N) complex array; the forward transform is a temporary of
+the decompose call that fills the entry.  So a trace that evolves one field
+to many times takes one FFT and one projection; each sample pays only its
+phases and one inverse FFT, which reconstruct writes into the array it hands
+to the new field.
 """
 
 from __future__ import annotations
@@ -146,14 +146,20 @@ def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING
     return modes
 
 
-def reconstruct(modes: ModeDecomposition) -> SpinorField:
-    """Inverse of decompose, in place: one temporary becomes the new field's values."""
-    grid = modes.grid
+def mode_spectrum(modes: ModeDecomposition) -> np.ndarray:
+    """amp_plus u_plus + amp_minus u_minus per momentum: a fresh (2, N) array in FFT order."""
     psi_hat = modes.amp_plus * modes.basis.u_plus
     # Row by row, so the temporary is one row, not two: a sample's transient
     # memory then mostly fits the heap the previous sample freed.
     for row, u in zip(psi_hat, modes.basis.u_minus):
         row += modes.amp_minus * u
+    return psi_hat
+
+
+def reconstruct(modes: ModeDecomposition) -> SpinorField:
+    """Inverse of decompose, in place: one temporary becomes the new field's values."""
+    grid = modes.grid
+    psi_hat = mode_spectrum(modes)
     psi_hat[:, 1::2] *= -1
     # psi_hat /= s would run numpy's complex division, (a + b*0) * (1/s) per
     # part.  This real multiply by 1/s gives the same bits at a fraction of the

@@ -7,7 +7,10 @@ J2 comes from the three-term recurrence on the oracle values.
 
 mode_vectors_reference gives a field's Fourier amplitudes by the explicit
 transform, in the operation order spectral.decompose uses, so the tests can
-check its projection bit for bit.
+check its projection bit for bit.  reduce_from_modes_reference writes the
+momentum route to the 2x2 density matrix out as one expression, phases and
+sum over energy signs included, to check the route through the spectral
+engine bit for bit.
 
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the full 42-term series
@@ -79,6 +82,18 @@ def mode_vectors_reference(field) -> np.ndarray:
     psi_hat = np.fft.fft(field.values, axis=1)
     psi_hat[:, 1::2] *= -1
     return psi_hat * np.sqrt(grid.dx / grid.n_points)
+
+
+def reduce_from_modes_reference(modes, t: float) -> np.ndarray:
+    """Symmetrized sum over k of psi_hat psi_hat^dagger, where psi_hat(k) =
+    amp_plus e^{-i w t} u_plus + amp_minus e^{+i w t} u_minus."""
+    phase = np.exp(-1j * modes.basis.omega * t)
+    psi_hat = (
+        modes.amp_plus * phase * modes.basis.u_plus
+        + modes.amp_minus * np.conj(phase) * modes.basis.u_minus
+    )
+    rho = np.einsum("an,bn->ab", psi_hat, psi_hat.conj())
+    return (rho + rho.conj().T) / 2.0
 
 
 def full_series(x: np.ndarray, first: float, denom) -> np.ndarray:

@@ -597,6 +597,23 @@ def _no_work(*args, **kwargs):
     raise AssertionError("a rejected request must not reach the run")
 
 
+def test_kernel_request_on_a_grid_whose_frequency_overflows_exits_1(tmp_path, capsys, monkeypatch):
+    # This once built a NaN positive-energy packet with numpy warnings and
+    # exited 2 after the run; the spectral engine already rejected the grid.
+    monkeypatch.setattr(cli, "distribution_dataset", _no_work)
+    out = tmp_path / "o.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distributions", "--engine", "kernel", "--kind", "positive_energy_packet",
+                     "--grid-l", "1e-155", "--width", "1e-157", "--t-end", "0",
+                     "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega_max = sqrt(k_max^2 + m^2) overflows float64 (k_max = 1.6085e+158, "
+                          "m = 1.0); the spectral route, which either engine may take")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (["--masss", "1"], "unrecognized arguments: --masss"),
     (["--t-end"], "argument --t-end: expected one argument"),
@@ -619,6 +636,7 @@ def _no_work(*args, **kwargs):
                                                "of 1e+303, not a finite count below 2**53"),
     (["--engine", "kernel", "--times", "1e300"], "dt = 1e+300 is not below 2**53 cells of dx = 0.0390625"),
     (["--spinor-a", "1"], "bad value for 'spinor_a': expected 're,im', got '1'"),
+    (["--grid-l", "1e300", "--width", "1e298", "--times", "0,1"], "width = 1e+298 is out of range"),
 ])
 def test_rejected_request_exits_1_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "run_scenario", _no_work)

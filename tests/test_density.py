@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dirac_decoherence import density, spectral
 from dirac_decoherence.grid import Grid1D, SpinorField, make_gaussian_packet, make_plane_wave
 
-from oracles import binary_entropy_bits, massless_off_diagonal
+from oracles import binary_entropy_bits, massless_off_diagonal, reduce_from_modes_reference
 
 MASSLESS_ENTROPY_AT_1 = 0.900045591523535  # h2((1 + e^-1)/2), frozen from the oracle
 
@@ -125,6 +125,18 @@ def test_reduce_from_modes_stationary(grid):
         assert np.abs(density.reduce_from_modes(modes, t).entries - rho0).max() < 1e-12
 
 
+@pytest.mark.parametrize("spinor", [(1.0, 1.0), (0.0, 1.0)], ids=["equal", "chiral"])
+def test_reduce_from_modes_is_the_momentum_formula_bit_for_bit(grid, spinor):
+    # The figure packets: the route through evolve_modes and mode_spectrum makes
+    # the products of the one-expression formula in the same order.
+    f = make_gaussian_packet(grid, 0.0, 1.0, spinor)
+    for m in (0.0, 1.0, 2.0):
+        modes = spectral.decompose(f, m)
+        for t in (0.0, 0.01, 0.5, 1.0, 2.0, 7.3):
+            got = density.reduce_from_modes(modes, t).entries
+            assert got.tobytes() == reduce_from_modes_reference(modes, t).tobytes()
+
+
 def test_reduce_from_modes_matches_t0(equal_packet):
     modes = spectral.decompose(equal_packet, 1.0)
     a = density.reduce_from_modes(modes, 0.0).entries
@@ -169,17 +181,17 @@ def test_dual_route_equality(grid):
                 assert np.abs(a - b).max() < 1e-10
 
 
-def test_eigenvalues2_known_matrices():
-    assert density.eigenvalues2(rdm(0.5 * np.eye(2))) == (0.5, 0.5)
-    lam = density.eigenvalues2(rdm(0.5 * np.ones((2, 2))))
+def test_eigenvalues_known_matrices():
+    assert rdm(0.5 * np.eye(2)).eigenvalues == (0.5, 0.5)
+    lam = rdm(0.5 * np.ones((2, 2))).eigenvalues
     assert lam[0] == pytest.approx(1.0, abs=1e-14)
     assert lam[1] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_eigenvalues2_massless_law_matrix():
+def test_eigenvalues_massless_law_matrix():
     for t in (0.5, 1.0, 2.0):
         off = massless_off_diagonal(t)
-        hi, lo = density.eigenvalues2(rdm([[0.5, off], [off, 0.5]]))
+        hi, lo = rdm([[0.5, off], [off, 0.5]]).eigenvalues
         assert hi == pytest.approx(0.5 + off, abs=1e-14)
         assert lo == pytest.approx(0.5 - off, abs=1e-14)
         assert hi + lo == 1.0
@@ -197,8 +209,8 @@ def test_spectrum_invariant_under_unitary_conjugation(theta, phi, p):
     u = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
     rotated = u @ rho @ u.conj().T
     rotated = (rotated + rotated.conj().T) / 2.0
-    a = density.eigenvalues2(rdm(rho))
-    b = density.eigenvalues2(rdm(rotated))
+    a = rdm(rho).eigenvalues
+    b = rdm(rotated).eigenvalues
     assert abs(a[0] - b[0]) < 1e-12
 
 
@@ -236,8 +248,7 @@ def test_eigenvalues_are_the_closed_form_bit_for_bit():
         r = rdm(matrix)
         expected = _closed_form_spectrum(r.entries)
         assert [x.hex() for x in r.eigenvalues] == [x.hex() for x in expected]
-        hi = min(max(expected[0], 0.0), 1.0)
-        assert density.eigenvalues2(r) == (hi, 1.0 - hi)
+        assert density.entropy_bits(r) == density.binary_entropy(expected[0])
 
 
 def test_eigenvalues_are_read_only():
@@ -264,6 +275,16 @@ def test_entropy_diagonalizes_once(monkeypatch, equal_packet):
     entropy = density.entropy_bits(density.reduce(field))
     assert len(calls) == 1
     assert 0.0 < entropy < 1.0
+
+
+def test_binary_entropy_clamps_to_the_unit_interval():
+    # A spectrum a roundoff past [0, 1] scores as the pure state it rounds to.
+    assert density.binary_entropy(1.0 + 2.0**-52) == 0.0
+    assert density.binary_entropy(-(2.0**-60)) == 0.0
+    assert density.binary_entropy(0.0) == density.binary_entropy(1.0) == 0.0
+    assert density.binary_entropy(0.5) == 1.0
+    for p in (1e-300, 0.1, 0.3, 0.5 + massless_off_diagonal(1.0), 1.0 - 2.0**-52):
+        assert density.binary_entropy(p) == pytest.approx(binary_entropy_bits(p), abs=1e-15)
 
 
 def test_entropy_pure_and_mixed():

@@ -117,6 +117,17 @@ def test_gaussian_packet_rejects_non_positive_width(grid):
         make_gaussian_packet(grid, 0.0, -1.0, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("half_extent,width,square", [(1e-160, 1e-162, "0.0"), (1e300, 1e298, "inf")])
+def test_gaussian_packet_rejects_a_width_whose_square_is_out_of_range(half_extent, width, square):
+    # A square of 0 made the envelope 0/0, NaN values; an infinite one raised
+    # OverflowError from width**2, which the CLI does not catch.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"width = {width} is out of range: its "
+                                                       f"square, {square}, is not positive")):
+            make_gaussian_packet(Grid1D(half_extent, 1024), 0.0, width, (1, 1))
+
+
 def test_zero_spinor_rejected(grid):
     with pytest.raises(ValueError):
         make_gaussian_packet(grid, 0.0, 1.0, (0.0, 0.0))
@@ -211,6 +222,14 @@ def test_positive_energy_packet_without_positive_energy_content_rejected(grid):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="packet has no positive-energy content"):
             build_initial(InitialSpec(kind="positive_energy_packet", mass=1e20), grid)
+
+
+def test_positive_energy_packet_with_a_nan_norm_rejected():
+    # k_max = 1.6e158 on this grid, so omega overflows and the projection is NaN
+    # (ScenarioConfig rejects such a grid before building anything).
+    spec = InitialSpec(kind="positive_energy_packet", mass=1.0, width=1e-157)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="packet has no positive-energy content"):
+        build_initial(spec, Grid1D(1e-155, 1024))
 
 
 def test_reflection_symmetry(grid):
