@@ -27,44 +27,14 @@ MIN_SIGMA_OVER_DX = 3.0
 MIN_L_OVER_SIGMA = 6.0
 
 # _fft_rows transforms every row in one call up to this many points, one row per
-# call past it; the two give the same bits.  Past 4096 points the faster form
-# depends on the host: one 2-core x86-64 host measured per-row calls faster at
-# 8192 and 16384 points, and the joint call in reconstruct raised a 16384-point
-# trace's peak RSS by 0.5 MB.  Joint against per-row calls with out= on another
-# (numpy 2.4, 2-core Xeon, 4 MiB L2 per core; median of 15 alternated rounds of
-# the best of 3 x 40 calls, per-row winning 0-3 of them):
-#
-#     points  rows   forward          inverse
-#     4096    2      63 vs 99 us      66 vs 122 us
-#     4096    3      97 vs 136 us     104 vs 157 us
-#     8192    2      143 vs 195 us    146 vs 213 us
-#     8192    3      250 vs 307 us    254 vs 344 us
-#     16384   2      310 vs 449 us    309 vs 495 us
-#     16384   3      502 vs 636 us    545 vs 690 us
-#
-# and on a third (numpy 2.4.6, 2-vCPU Sapphire Rapids, 2 MiB L2 per core; same
-# method, joint winning the count of the 15 rounds shown):
-#
-#     points  rows   forward               inverse
-#     4096    2      82 vs 132 us, 15      70 vs 108 us, 15
-#     4096    3      88 vs 128 us, 15      94 vs 140 us, 15
-#     8192    2      251 vs 187 us, 0      255 vs 210 us, 1
-#     8192    3      435 vs 381 us, 2      348 vs 308 us, 0
-#     16384   2      613 vs 369 us, 0      618 vs 427 us, 0
-#     16384   3      801 vs 586 us, 1      831 vs 688 us, 1
-#
-# and on a fourth (numpy 2.4.6, 2-core Xeon, 2 MiB L2 per core; same method):
-#
-#     points  rows   forward               inverse
-#     4096    2      53 vs 78 us, 15       60 vs 88 us, 15
-#     8192    2      226 vs 175 us, 0      121 vs 183 us, 15
-#     16384   2      546 vs 366 us, 0      555 vs 384 us, 1
-#     65536   2      2511 vs 1715 us, 0    2629 vs 1938 us, 1
-#
-# The threshold stays at 8192, where the hosts disagree and the fourth splits
-# by direction: no request of the benchmark has between 1024 and 16384
-# points, so 4096 would run the same calls.
-_JOINT_FFT_MAX_POINTS = 8192
+# call past it; the two give the same bits.  Isolated row timings past 4096
+# points favour one form or the other by host, so the threshold is set end to
+# end (numpy 2.4.6, 2-vCPU Sapphire Rapids, 10 alternated pairs of 25 s runs):
+# raising it from 8192 to 16384 cut trace_n16k's wall time from 1.10 to 0.97 s
+# (9 of 10 pairs) at +1.6 % peak RSS.  At 65536 points a joint call raised
+# kernel_n64k's peak RSS by 7.5 %, past the benchmark's 5 % bound, while each
+# tap build transformed three rows; with one it read +2.0 % in 3 pairs.
+_JOINT_FFT_MAX_POINTS = 16384
 
 
 def check_mass(m: float) -> None:
@@ -285,7 +255,8 @@ def make_gaussian_packet(
             f"(L - |center|)/sigma = {(grid.half_extent - abs(center)) / width:.3g} but at "
             f"least {MIN_L_OVER_SIGMA} is required to keep periodic wraparound negligible"
         )
-    envelope = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    with np.errstate(over="ignore"):  # past |x| ~ 1.34e154 the square is inf, and exp(-inf) = 0
+        envelope = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
     # Scale the spinor by a power of two, which is exact, so that its largest part
     # lies in [0.5, 1): the squares summed below then neither overflow nor underflow.
     parts = np.asarray(spinor, dtype=np.complex128).view(np.float64)

@@ -31,26 +31,30 @@ row spectra by the 2x2 symbol
 S-, C and S+ are the spectra of the tap sets (same chirality -1, cross, same
 chirality +1) laid out cyclically, and the phases are the spectra of the
 lightcone deltas, weight 1 at offset -j and +j.  _tap_spectra adds each delta
-to its same-chirality taps before its one transform, so the rows of the
-(3, N) block it returns are the symbol's entries.  A step at m > 0 then reads
-its field's spectrum, writes the four cone_correlate products, row by row,
-into the spectrum of the field it returns, and makes no FFT: that field
-computes its values only when they are read (grid.SpinorField).  A walk costs
-1 forward transform of its first field (kept on the field, so a second walk
-from it pays none), 3 per distinct step length for the tap spectra, and 1
-inverse when evolve_to reads the last field's values to renormalize.  At
-m = 0 a step has no taps and shifts the rows in position space, bit for bit.
-Rows are transformed by grid._fft_rows, the rule spectral uses too: at
-N <= 8192 the rows of an array go in one numpy call, so a walk's first field
-and each tap build make 1 call and the last inverse 1; past it they make 2,
-3 and 2.
+to its same-chirality taps, so the rows of the (3, N) block it returns are
+the symbol's entries, and it makes them from one transform: the same-
+chirality taps are real and the cross taps purely imaginary, so one complex
+row carries S- and C, and chirality +1 mirrors chirality -1, so
+S+(n) = S-(-n).  A step at m > 0 then reads its field's spectrum, writes the
+four cone_correlate products, row by row, into the spectrum of the field it
+returns, and makes no FFT: that field computes its values only when they are
+read (grid.SpinorField).  A walk costs 1 forward transform of its first
+field's two rows (kept on the field, so a second walk from it pays none), 1
+row per distinct step length for the tap spectra, and 1 inverse of two rows
+when evolve_to reads the last field's values to renormalize.  At m = 0 a
+step has no taps and shifts the rows in position space, bit for bit.  Rows
+are transformed by grid._fft_rows, the rule spectral uses too: at
+N <= 16384 the rows of an array go in one numpy call, past it one call per
+row, so a walk's first field and last inverse make 1 call each, or 2.
 
 Stepping spectra moves the result by roundoff only: one step is within
 6.0e-16 max|psi| of a step that inverts each row's two cone spectra and adds
 the shifts in position space (N from 1000 to 16384, j from 1 to N/8, m from
-0.5 to 2).  A row's two cone sums differ from the two direct O(N j) sums by
-at most 1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap
-sets, as measured for N from 64 to 65536 and j from 1 to N/8.
+0.5 to 2), and each symbol row is within 8.2e-16 max|K_j| of its own
+transform (N from 1000 to 65536, j from 1 to N/8, m from 0 to 50).  A
+row's two cone sums differ from the two direct O(N j) sums by at most
+1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap sets, as
+measured for N from 64 to 65536 and j from 1 to N/8.
 """
 
 from __future__ import annotations
@@ -143,21 +147,37 @@ def walk(t: float, grid: Grid1D) -> list[tuple[int, int]]:
 
 def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     """The entries of a j-cell step's symbol K_j as the rows of one read-only
-    (3, N) block: same chirality -1, cross, same chirality +1.
+    (3, N) block: same chirality -1, cross, same chirality +1, from one
+    N-point transform.
 
     Row r is fft(h) of its taps laid out cyclically, h[d mod N] = taps[d + j],
     with the lightcone delta, weight 1 at offset -j in row 0 and at +j in
     row 2, added in; _check_cone caps j at N/8, so no two taps share a cell.
+    The same-chirality -1 row h- is real and the cross row c purely
+    imaginary, so Z = fft(h- + c) carries both: fft(h-) is the part with
+    Z(-n) = conj Z(n), (Z(n) + conj Z(-n))/2, and fft(c) = Z - fft(h-).
+    The chirality +1 taps and delta are those of -1 mirrored, d to -d, bit
+    for bit, so row 2 is row 0 at index -n mod N.
     """
     same, cross = _smooth_taps(j, grid.dx, m)
     n = grid.n_points
     block = np.zeros((3, n), dtype=np.complex128)
-    for row, taps in zip(block, (same[-1], cross, same[1])):
-        row[:j + 1] = taps[j:]
-        row[n - j:] = taps[:j]
-    block[0, n - j] += 1.0
-    block[2, j] += 1.0
-    _fft_rows(block, out=block)
+    same_minus, cross_hat, same_plus = block
+    # z = h- + c goes in the middle row and is transformed to Z in place;
+    # the outer rows are scratch until the unpack fills them.
+    np.add(same[-1][j:], cross[j:], out=cross_hat[:j + 1])
+    np.add(same[-1][:j], cross[:j], out=cross_hat[n - j:])
+    cross_hat[n - j] += 1.0
+    _fft_rows(block[1:2], out=block[1:2])
+    # conj Z(-n) into row 2, then fft(h-) into row 0 and fft(c) into row 1.
+    np.conjugate(cross_hat[:1], out=same_plus[:1])
+    np.conjugate(cross_hat[:0:-1], out=same_plus[1:])
+    np.add(cross_hat, same_plus, out=same_minus)
+    same_minus /= 2
+    cross_hat -= same_minus
+    # Row 2 is row 0 at index -n mod N.
+    same_plus[0] = same_minus[0]
+    same_plus[1:] = same_minus[:0:-1]
     block.flags.writeable = False  # a walk shares it between steps
     return block
 

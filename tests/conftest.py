@@ -32,17 +32,27 @@ def equal_packet(grid):
     return make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
 
 
+class TransformCounts(dict):
+    """np.fft.fft and np.fft.ifft calls ("fft", "ifft") and the rows they
+    transformed ("fft_rows", "ifft_rows"): a call on an array of shape
+    (..., N) transforms its size // N rows."""
+
+    def zero(self):
+        self.update(dict.fromkeys(self, 0))
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts of the np.fft.fft and np.fft.ifft calls made since the fixture was set up."""
-    calls = {"fft": 0, "ifft": 0}
+    """TransformCounts of the calls made since the fixture was set up or last zeroed."""
+    counts = TransformCounts(fft=0, ifft=0, fft_rows=0, ifft_rows=0)
 
     def counting(name, transform):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            counts[name] += 1
+            counts[f"{name}_rows"] += a.size // a.shape[-1]
+            return transform(a, *args, **kwargs)
         return counted
 
-    for name in calls:
+    for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    return calls
+    return counts

@@ -15,11 +15,12 @@ engine bit for bit.
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the full 42-term series
 recurrence, and a kernel step that takes a field's spectrum to the next
-one, multiplying it by symbol rows made from taps laid out by index array,
-with the lightcone deltas, and transformed out of place.  Two position-space
-steps are kept as references equal to it up to roundoff: one adds each
+one, multiplying it by symbol rows unpacked from one out-of-place transform
+of taps laid out by index array, with the lightcone delta.  Kept as
+references equal to it up to roundoff: symbol rows with each tap set
+transformed on its own, and two position-space steps, one that adds each
 field row's two cone spectra before one inverse and adds the shifts after
-it, the other inverts each cone sum on its own.
+it, and one that inverts each cone sum on its own.
 """
 
 import mpmath
@@ -146,12 +147,25 @@ def _step_taps(dx: float, m: float, j: int):
     return same, cross
 
 
-def symbol_rows_reference(dx: float, m: float, j: int, n: int) -> np.ndarray:
-    """A j-cell step's symbol rows (same chirality -1, cross, same chirality +1):
-    each tap set laid by tap_layout_reference, the lightcone deltas added at
-    offset -j in the first row and +j in the last, each row transformed on its
-    own, out of place."""
-    same, cross = _step_taps(dx, m, j)
+def symbol_rows_reference(same: dict, cross: np.ndarray, j: int, n: int) -> np.ndarray:
+    """A j-cell step's symbol rows (same chirality -1, cross, same chirality +1)
+    from its tap sets and one transform: z, the chirality -1 taps plus the
+    cross taps laid by tap_layout_reference with the lightcone delta at
+    offset -j, transformed out of place to Z; the real part's spectrum is
+    (Z(n) + conj Z(-n)) / 2, the imaginary part's the rest, and the chirality
+    +1 row the first at index -n mod n, by fancy index."""
+    z = tap_layout_reference(same[-1] + cross, j, n)
+    z[-j % n] += 1.0
+    big_z = np.fft.fft(z)
+    mirror = (-np.arange(n)) % n
+    same_minus = (big_z + np.conj(big_z[mirror])) / 2
+    return np.stack([same_minus, big_z - same_minus, same_minus[mirror]])
+
+
+def symbol_rows_three_transform_reference(same: dict, cross: np.ndarray, j: int, n: int) -> np.ndarray:
+    """The symbol rows with each tap set laid by tap_layout_reference, the
+    lightcone deltas added at offset -j in the first row and +j in the last,
+    and each row transformed on its own, out of place."""
     rows = [tap_layout_reference(taps, j, n) for taps in (same[-1], cross, same[1])]
     rows[0][-j % n] += 1.0
     rows[2][j % n] += 1.0
@@ -161,7 +175,7 @@ def symbol_rows_reference(dx: float, m: float, j: int, n: int) -> np.ndarray:
 def kernel_step_reference(psi_hat: np.ndarray, dx: float, m: float, j: int) -> np.ndarray:
     """One j-cell kernel step of a (2, N) field spectrum, spectrum in and out:
     each new row is its same-chirality product plus its cross product."""
-    same_minus, cross, same_plus = symbol_rows_reference(dx, m, j, psi_hat.shape[1])
+    same_minus, cross, same_plus = symbol_rows_reference(*_step_taps(dx, m, j), j, psi_hat.shape[1])
     minus_hat, plus_hat = psi_hat
     return np.stack([minus_hat * same_minus + plus_hat * cross, plus_hat * same_plus + minus_hat * cross])
 

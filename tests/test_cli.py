@@ -420,9 +420,9 @@ def test_figures_match_recorded_digests(tmp_path):
 # phased, off-centre spinor.  Recorded with numpy 2.4.
 REQUEST_DIGESTS = {
     "entropy-curve --engine kernel --mass 1.3 --times 0.0390625,0.1171875,0.5078125":
-        "8d1c69ac38ec7d150b6ed6ba82267d5dbdfbe22afe81099ad32992e2ccaff75f",
+        "723a353aa8fc7de06b7aab5d06f942767c5d0d1f344b1ed479b4a6e12d920aad",
     "distributions --engine kernel --mass 2 --t-end 0.5078125":
-        "6fa2973f33e20c2587309676bb6bd712c5c932fd0d058ce668d82f2ab1b9a61f",
+        "456797e188be49d05f08abc68530413584a100b48f8fa3ce40a51c8d76406de6",
     "entropy-curve --kind plane_wave --mode-index 7 --energy-sign -1 --mass 0.5 --t-end 1 --t-step 0.25":
         "d9f7778fd603300630c5bad6f7b8c56fdbbee4fd3234c4850ed69a9bfd92d72a",
     "entropy-curve --kind positive_energy_packet --mass 2 --t-end 1 --t-step 0.1":
@@ -612,6 +612,17 @@ def test_kernel_request_on_a_grid_whose_frequency_overflows_exits_1(tmp_path, ca
                           "m = 1.0); the spectral route, which either engine may take")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_packet_whose_grid_square_overflows_exits_0(tmp_path):
+    # (x - center)^2 overflows at the grid's ends, where the envelope is 0:
+    # this printed a numpy overflow warning, a traceback under -W error.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distributions", "--engine", "kernel", "--grid-l", "1e157", "--grid-n", "65536",
+                     "--width", "1e153", "--t-end", "0", "--output", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("args,message", [

@@ -113,19 +113,21 @@ def test_spectral_config_rejects_a_frequency_that_overflows():
 def test_kernel_request_transform_calls(fft_calls):
     # The benchmark's kernel_desk request: 51 samples of 1 to 51 cells on the
     # figure grid, each walked from field0 in 3-cell steps.  Over the 51
-    # walks the taps are built 83 times (once per step length of a walk) and
-    # each walk inverts its last field once; field0 is transformed on the
-    # first request and keeps its spectrum, so a repeated request makes 134
-    # numpy FFT calls (1001 when every step transformed and inverted its rows).
+    # walks the taps are built 83 times (once per step length of a walk),
+    # each from one transformed row, and each walk inverts its last field's
+    # two rows once; field0 is transformed on the first request and keeps
+    # its spectrum, so a repeated request makes 134 numpy FFT calls (1001
+    # when every step transformed and inverted its rows) on 185 rows (351
+    # when each tap build transformed three).
     grid = experiments.DEFAULT_GRID
     cfg = ScenarioConfig(mass=1.3, initial=equal_superposition(1.3), engine="kernel",
                          times=tuple(i * grid.dx for i in range(1, 52)))
-    fft_calls.update(fft=0, ifft=0)
+    fft_calls.zero()
     run_scenario(cfg)
-    assert fft_calls == {"fft": 1 + 83, "ifft": 51}
-    fft_calls.update(fft=0, ifft=0)
+    assert fft_calls == {"fft": 1 + 83, "ifft": 51, "fft_rows": 2 + 83, "ifft_rows": 102}
+    fft_calls.zero()
     run_scenario(cfg)
-    assert fft_calls == {"fft": 83, "ifft": 51}
+    assert fft_calls == {"fft": 83, "ifft": 51, "fft_rows": 83, "ifft_rows": 102}
 
 
 def test_kernel_engine_rejects_non_commensurate_times():

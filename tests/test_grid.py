@@ -84,6 +84,17 @@ def test_gaussian_packet_normalizes_any_spinor_size(grid, spinor):
     assert norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gaussian_packet_far_from_its_center_is_zero_without_a_warning():
+    # |x - center| reaches 1e157, whose square overflows: the envelope there
+    # is exp(-inf) = 0, with no numpy warning.
+    grid = Grid1D(1e157, 65536)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = make_gaussian_packet(grid, 0.0, 1e153, (1.0, 1.0))
+    assert norm(f) == pytest.approx(1.0, abs=1e-12)
+    assert f.values[:, 0].tolist() == [0, 0]
+
+
 def test_gaussian_packet_zero_component(grid):
     f = make_gaussian_packet(grid, 0.0, 1.0, (0.0, 1.0))
     assert np.all(f.minus == 0)
@@ -346,11 +357,12 @@ def test_field_adopts_a_read_only_spectrum_it_owns_and_checks_its_shape(grid):
         SpinorField.from_spectrum(grid, owned[0])
 
 
-@pytest.mark.parametrize("n_points", [_JOINT_FFT_MAX_POINTS, 2 * _JOINT_FFT_MAX_POINTS])
+@pytest.mark.parametrize("n_points", [_JOINT_FFT_MAX_POINTS // 2, _JOINT_FFT_MAX_POINTS,
+                                      2 * _JOINT_FFT_MAX_POINTS])
 @pytest.mark.parametrize("n_rows", [2, 3])
 @pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
 def test_fft_rows_equals_one_transform_per_row_bitwise(n_points, n_rows, inverse):
-    # Both sides of the joint-call threshold, in place and out of place.
+    # Below, at and past the joint-call threshold, in place and out of place.
     rng = np.random.default_rng(n_points + n_rows)
     rows = rng.normal(size=(n_rows, n_points)) + 1j * rng.normal(size=(n_rows, n_points))
     transform = np.fft.ifft if inverse else np.fft.fft

@@ -10,6 +10,8 @@ from oracles import (
     kernel_step_four_inverses_reference,
     kernel_step_position_reference,
     kernel_step_reference,
+    symbol_rows_reference,
+    symbol_rows_three_transform_reference,
 )
 
 
@@ -55,8 +57,8 @@ def test_smooth_taps_component_structure():
 
 # The grid of each step length: j = 128 on 1024 points and j = 125 on 1000
 # are the longest steps evolve_step accepts there (dt = L/4, j = N/8); j = 41
-# on 16384 points transforms one row per call, past the joint-call threshold.
-STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000, 41: 16384}
+# on 32768 points transforms one row per call, past the joint-call threshold.
+STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000, 41: 32768}
 
 
 def random_values(n_points, seed):
@@ -104,27 +106,28 @@ def test_step_within_roundoff_of_four_inverses(j, m):
     assert np.abs(out.values - four).max() <= 1e-15 * np.abs(values).max()
 
 
-@pytest.mark.parametrize(
-    "n_points,j,m",
-    [(1024, 1, 1.0), (1024, 3, 2.0), (1024, 128, 1.0), (1000, 125, 0.7), (16384, 41, 1.3),
-     (1024, 3, 0.0), (1024, 13, 50.0)],
-)
+# (N, j, m) of the symbol tests: one to N/8 cells, N up to 16384, the
+# massless taps and a mass far past m dx = 1.
+SYMBOL_CASES = [(1024, 1, 1.0), (1024, 3, 2.0), (1024, 128, 1.0), (1000, 125, 0.7), (16384, 41, 1.3),
+                (1024, 3, 0.0), (1024, 13, 50.0)]
+
+
+@pytest.mark.parametrize("n_points,j,m", SYMBOL_CASES)
 def test_step_is_diagonal_in_the_fft_index(n_points, j, m):
     # A j-cell step multiplies fft(psi) at each index n by the 2x2 symbol
     # [[e^{i theta} + S-, C], [C, e^{-i theta} + S+]], theta = 2 pi n j / N,
     # whose entries are the rows of _tap_spectra: the spectra of the taps
     # laid at offsets d mod N, with the lightcone deltas at -j and +j giving
     # the phases (the taps are all zero at m = 0, where a step shifts the
-    # rows in position space).
+    # rows in position space).  The rows are unpacked from one transform of
+    # the real chirality -1 row plus the imaginary cross row, bit for bit.
     grid = Grid1D(20.0, n_points)
     spectra = kernel_engine._tap_spectra(j, grid, m)
     same, cross_taps = kernel_engine._smooth_taps(j, grid.dx, m)
+    assert np.array_equal(spectra, symbol_rows_reference(same, cross_taps, j, n_points))
     laid = np.zeros((3, n_points), dtype=np.complex128)
     laid[:, np.arange(-j, j + 1) % n_points] = [same[-1], cross_taps, same[1]]
     taps_hat = np.fft.fft(laid, axis=1)
-    laid[0, -j % n_points] += 1.0
-    laid[2, j] += 1.0
-    assert np.array_equal(spectra, np.fft.fft(laid, axis=1))
     shift = np.exp(2j * np.pi * np.arange(n_points) * j / n_points)
     assert np.abs(spectra - taps_hat - [shift, np.zeros_like(shift), shift.conj()]).max() < 1e-12
     values = random_values(n_points, n_points + j)
@@ -139,31 +142,62 @@ def test_step_is_diagonal_in_the_fft_index(n_points, j, m):
     assert np.abs(out.spectrum - expected).max() < tol
 
 
+@pytest.mark.parametrize("n_points,j,m", SYMBOL_CASES)
+def test_tap_spectra_within_roundoff_of_three_transforms(n_points, j, m):
+    # Unpacking the one transform moves each row by roundoff only from
+    # transforming each tap set, with its delta, on its own.
+    grid = Grid1D(20.0, n_points)
+    spectra = kernel_engine._tap_spectra(j, grid, m)
+    three = symbol_rows_three_transform_reference(*kernel_engine._smooth_taps(j, grid.dx, m), j, n_points)
+    for row, expected in zip(spectra, three):
+        assert np.abs(row - expected).max() <= 2e-15 * np.abs(three).max()
+
+
+@pytest.mark.parametrize("n_points,j,m", SYMBOL_CASES)
+def test_tap_spectra_chirality_plus_row_is_the_minus_row_mirrored(n_points, j, m):
+    # Row 2 is row 0 at index -n mod N, bit for bit.
+    spectra = kernel_engine._tap_spectra(j, Grid1D(20.0, n_points), m)
+    assert spectra[2].tobytes() == spectra[0][-np.arange(n_points) % n_points].tobytes()
+
+
+@pytest.mark.parametrize("j,dx,m", [(1, 0.039, 1.0), (13, 0.039, 50.0), (41, 20 / 8192, 1.3),
+                                    (164, 40 / 65536, 1.3), (8, 0.025, 0.0), (125, 0.04, 1e8)])
+def test_smooth_taps_chirality_plus_is_the_minus_taps_reversed(j, dx, m):
+    # Offset d of chirality +1 is offset -d of chirality -1, bit for bit, on
+    # both Bessel branches: what lets _tap_spectra mirror its row 0.
+    same, _ = kernel_engine._smooth_taps(j, dx, m)
+    assert same[1].tobytes() == same[-1][::-1].tobytes()
+
+
 @pytest.mark.parametrize(
     "n_points,cells,row_calls,walk_calls,rewalk_calls",
-    [(1024, 10, 1, (3, 1), (2, 1)), (16384, 100, 2, (8, 2), (6, 2))],
-    ids=["n1024", "n16384"],
+    [(1024, 10, 1, (3, 1), (2, 1)), (16384, 100, 1, (3, 1), (2, 1)), (32768, 100, 2, (4, 2), (2, 2))],
+    ids=["n1024", "n16384", "n32768"],
 )
 def test_numpy_transform_calls_per_step(n_points, cells, row_calls, walk_calls, rewalk_calls, fft_calls):
-    # Up to the joint-call threshold a field's two rows go in one numpy call
-    # and a tap build's three in one; past it, one call per row.  A step from
-    # a field a step made multiplies spectra and makes no call; reading its
-    # values inverts its rows, once.  A walk (10 cells: 3 + 3 + 3 + 1; 100
-    # cells: 41 + 41 + 18) transforms its first field, builds taps once per
-    # step length and inverts its last field; the first field keeps its
-    # spectrum, so a second walk from it makes no forward call for it.
+    # Up to the joint-call threshold a field's two rows go in one numpy call;
+    # past it, one call per row.  A tap build transforms one row, in one
+    # call.  A step from a field a step made multiplies spectra and makes no
+    # call; reading its values inverts its rows, once.  A walk (10 cells:
+    # 3 + 3 + 3 + 1; 100 cells: 41 + 41 + 18 at 16384 points, 82 + 18 at
+    # 32768) transforms its first field, builds taps once per step length
+    # and inverts its last field; the first field keeps its spectrum, so a
+    # second walk from it makes no forward call for it.
     grid = Grid1D(20.0, n_points)
     spectra = kernel_engine._tap_spectra(3, grid, 1.0)
     stepped = kernel_engine.evolve_step(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0, 3 * grid.dx,
                                         spectra=spectra)
-    fft_calls.update(fft=0, ifft=0)
+    fft_calls.zero()
     twice = kernel_engine.evolve_step(stepped, 1.0, 3 * grid.dx, spectra=spectra)
-    assert fft_calls == {"fft": 0, "ifft": 0}
+    assert fft_calls == {"fft": 0, "ifft": 0, "fft_rows": 0, "ifft_rows": 0}
     assert twice.values is twice.values
-    assert fft_calls == {"fft": 0, "ifft": row_calls}
+    assert fft_calls == {"fft": 0, "ifft": row_calls, "fft_rows": 0, "ifft_rows": 2}
+    fft_calls.zero()
+    kernel_engine._tap_spectra(3, grid, 1.0)
+    assert fft_calls == {"fft": 1, "ifft": 0, "fft_rows": 1, "ifft_rows": 0}
     fresh = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
     for expected in (walk_calls, rewalk_calls):
-        fft_calls.update(fft=0, ifft=0)
+        fft_calls.zero()
         kernel_engine.evolve_to(fresh, 1.0, cells * grid.dx)
         assert (fft_calls["fft"], fft_calls["ifft"]) == expected
 
