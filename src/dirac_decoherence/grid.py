@@ -26,16 +26,6 @@ CHIRALITY_PLUS = 1
 MIN_SIGMA_OVER_DX = 3.0
 MIN_L_OVER_SIGMA = 6.0
 
-# _fft_rows transforms every row in one call up to this many points, one row per
-# call past it; the two give the same bits.  Isolated row timings past 4096
-# points favour one form or the other by host, so the threshold is set end to
-# end (numpy 2.4.6, 2-vCPU Sapphire Rapids, 10 alternated pairs of 25 s runs):
-# raising it from 8192 to 16384 cut trace_n16k's wall time from 1.10 to 0.97 s
-# (9 of 10 pairs) at +1.6 % peak RSS.  At 65536 points a joint call raised
-# kernel_n64k's peak RSS by 7.5 %, past the benchmark's 5 % bound, while each
-# tap build transformed three rows; with one it read +2.0 % in 3 pairs.
-_JOINT_FFT_MAX_POINTS = 16384
-
 
 def check_mass(m: float) -> None:
     """Reject a mass that is negative, infinite or NaN, or for which 2 m^2 is
@@ -46,22 +36,6 @@ def check_mass(m: float) -> None:
     if not 2.0 * float(m) * float(m) < np.inf:  # Python floats: overflow gives inf, no warning
         raise ValueError(f"mass = {m} is too large: twice its square overflows float64 "
                          f"(the largest mass is about 9.48e153)")
-
-
-def _fft_rows(rows: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """np.fft.fft (ifft if inverse) of each row of a 2-D complex array, bit for bit.
-
-    The result goes into out if given, which may be rows itself (in place), and
-    into a fresh array if not; rows is written only when it is out.
-    """
-    transform = np.fft.ifft if inverse else np.fft.fft
-    if rows.shape[1] <= _JOINT_FFT_MAX_POINTS:
-        return transform(rows, axis=1, out=out)
-    if out is None:
-        out = np.empty(rows.shape, dtype=np.complex128)
-    for row, dest in zip(rows, out):
-        transform(row, out=dest)
-    return out
 
 
 @dataclass(frozen=True)
@@ -115,9 +89,9 @@ class SpinorField:
     """Two-component spinor on a grid; values[0] is chirality -1, values[1] is +1.
 
     A field is made from its values, SpinorField(grid, values), or from their
-    spectrum, SpinorField.from_spectrum(grid, spectrum), the row transforms
-    _fft_rows(values).  It computes the other with _fft_rows the first time
-    it is read and keeps it, so a kernel walk, which steps spectra, inverts
+    spectrum, SpinorField.from_spectrum(grid, spectrum), np.fft.fft(values)
+    along the rows.  It computes the other, with one numpy call, the first
+    time it is read and keeps it, so a kernel walk, which steps spectra, inverts
     only the fields whose values are read.
 
     Both are read-only: a C-contiguous complex array that is read-only and
@@ -136,7 +110,7 @@ class SpinorField:
 
     @classmethod
     def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> SpinorField:
-        """The field whose spectrum, _fft_rows(values), is spectrum; its values
+        """The field whose spectrum, np.fft.fft(values), is spectrum; its values
         are computed when first read."""
         field = object.__new__(cls)
         object.__setattr__(field, "grid", grid)
@@ -148,15 +122,15 @@ class SpinorField:
         # from its spectrum, is computed on its first read.
         if name != "values" or "spectrum" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = _fft_rows(self.spectrum, inverse=True)
+        values = np.fft.ifft(self.spectrum)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         return values
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """_fft_rows(values), read-only: numpy's unscaled transform of each row."""
-        spectrum = _fft_rows(self.values)
+        """np.fft.fft(values), read-only: numpy's unscaled transform of each row."""
+        spectrum = np.fft.fft(self.values)
         spectrum.flags.writeable = False
         return spectrum
 

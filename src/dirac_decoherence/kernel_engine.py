@@ -11,15 +11,9 @@ with tau = sqrt(dt^2 - dx^2).  Requiring dt to be an integer multiple of the
 grid spacing makes the delta term an exact cyclic shift; the smooth part is a
 trapezoidal sum over the cone, so each step carries an O(dx^2) quadrature
 error.  The propagator is exact in time, but how a time is split into steps
-still moves that error.  On the figure grid (dx = 0.039), for the equal-weight
-packet against the spectral engine with both renormalized, one step and the
-walk below agree within a factor of 3 for m <= 1 up to t = 5 (at m = 1 and
-t = 1.99: 1.7e-4 for one 51-cell step, 2.2e-4 for the 17-step walk); at m = 2
-the one long step is the worse, 1.4e-3 against 8.2e-4 at t = 1.99 and 6.8e-3
-against 2.0e-3 at t = 5.  The quadrature is not exactly unitary (at
-dx = 0.04 the norm is off by 5e-6 to 9e-5 at t = 1 for m from 0.5 to
-2), so evolve_to renormalizes the field it returns.  This engine serves as
-the independent validator of the spectral engine, which is exact in time.
+still moves that error, and the quadrature is not exactly unitary, so
+evolve_to renormalizes the field it returns.  This engine serves as the
+independent validator of the spectral engine, which is exact in time.
 
 Each cone sum is one cyclic FFT convolution, O(N log N) at any cone width,
 and a j-cell step is diagonal in the FFT index n: it multiplies the field's
@@ -42,10 +36,8 @@ read (grid.SpinorField).  A walk costs 1 forward transform of its first
 field's two rows (kept on the field, so a second walk from it pays none), 1
 row per distinct step length for the tap spectra, and 1 inverse of two rows
 when evolve_to reads the last field's values to renormalize.  At m = 0 a
-step has no taps and shifts the rows in position space, bit for bit.  Rows
-are transformed by grid._fft_rows, the rule spectral uses too: at
-N <= 16384 the rows of an array go in one numpy call, past it one call per
-row, so a walk's first field and last inverse make 1 call each, or 2.
+step has no taps and shifts the rows in position space, bit for bit.  Each
+of these transforms is one numpy call over its array's last axis.
 
 Stepping spectra moves the result by roundoff only: one step is within
 6.0e-16 max|psi| of a step that inverts each row's two cone spectra and adds
@@ -62,13 +54,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import bessel
-from .grid import Grid1D, SpinorField, _fft_rows, check_mass, norm
+from .grid import Grid1D, SpinorField, check_mass, norm
 
 # The correlation below is the only implementation, an FFT convolution in
 # numpy; the name is kept for callers that report which one ran.
 BACKEND_NAME = "numpy"
 
-# evolve_to walks in steps of about this much time, snapped to whole cells.
+# evolve_to walks in steps of about this much time per 20 units of L, snapped
+# to whole cells: the same cells at any unit of length.
 WALK_STEP = 0.1
 
 
@@ -132,12 +125,12 @@ def _check_cone(dt: float, grid: Grid1D) -> None:
 
 def walk(t: float, grid: Grid1D) -> list[tuple[int, int]]:
     """The steps evolve_to takes to reach t as (cells, count) runs, longest first:
-    whole steps of round(WALK_STEP / dx) cells, then one of the remainder; no
+    whole steps of round(WALK_STEP (L / 20) / dx) cells, then one of the remainder; no
     empty run, so none for t = 0.  Rejects, at a cost that does not grow with t,
     a t that is not a whole number of cells below 2**53, and a first (longest)
     step whose lightcone would wrap around the periodic domain.
     """
-    per_step = max(int(round(WALK_STEP / grid.dx)), 1)
+    per_step = max(int(round(WALK_STEP * (grid.half_extent / 20.0) / grid.dx)), 1)
     whole, rest = divmod(_step_count(t, grid.dx), per_step)
     runs = [(cells, count) for cells, count in ((per_step, whole), (rest, 1)) if cells and count]
     if runs:
@@ -168,7 +161,7 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     np.add(same[-1][j:], cross[j:], out=cross_hat[:j + 1])
     np.add(same[-1][:j], cross[:j], out=cross_hat[n - j:])
     cross_hat[n - j] += 1.0
-    _fft_rows(block[1:2], out=block[1:2])
+    np.fft.fft(cross_hat, out=cross_hat)
     # conj Z(-n) into row 2, then fft(h-) into row 0 and fft(c) into row 1.
     np.conjugate(cross_hat[:1], out=same_plus[:1])
     np.conjugate(cross_hat[:0:-1], out=same_plus[1:])
@@ -235,7 +228,7 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     m = 0), dropped before the next run's.  At m > 0 the walk steps spectra,
     and only the last field's values are computed, to renormalize.  A walk
     whose norm is not finite and positive (its taps overflow at a huge mass)
-    is rejected by name.
+    is rejected by name, with no numpy warning before it.
     """
     check_mass(m)
     grid = field.grid
@@ -243,12 +236,13 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     if not runs:
         return field
     out = field
-    for cells, count in runs:
-        spectra = _tap_spectra(cells, grid, m) if m != 0 else None
-        for _ in range(count):
-            out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
-        del spectra
-    total = norm(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as an inf or NaN norm
+        for cells, count in runs:
+            spectra = _tap_spectra(cells, grid, m) if m != 0 else None
+            for _ in range(count):
+                out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
+            del spectra
+        total = norm(out)
     if not 0 < total < np.inf:
         raise ValueError(f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, "
                          f"not finite and positive, so it cannot be renormalized")

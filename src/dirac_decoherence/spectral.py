@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid1D, SpinorField, _fft_rows, check_mass
+from .grid import Grid1D, SpinorField, check_mass
 
 # Sign of the mass coupling in H(k), pinned by the cross-engine check against the
 # Bessel-kernel propagator; only the benchmark's --perturb reference flips it, via decompose.
@@ -133,7 +133,7 @@ def decompose(field: SpinorField, m: float, coupling_sign: float = MASS_COUPLING
         # Fourier amplitudes psi_hat(k) in FFT order.  The grid origin sits at
         # index N/2, so each FFT bin picks up the factor e^{-i k_j x_0} = (-1)^j
         # relative to numpy's index-based transform.
-        psi_hat = _fft_rows(field.values)
+        psi_hat = np.fft.fft(field.values)
         psi_hat[:, 1::2] *= -1
         psi_hat *= np.sqrt(grid.dx / grid.n_points)
         amps = np.stack([
@@ -166,7 +166,7 @@ def reconstruct(modes: ModeDecomposition) -> SpinorField:
     # cost, except that a -0.0 part can keep the sign the division turns to
     # +0.0; the inverse transform passes such a sign on only to zero outputs.
     psi_hat.view(np.float64)[...] *= 1.0 / np.sqrt(grid.dx / grid.n_points)
-    _fft_rows(psi_hat, inverse=True, out=psi_hat)
+    np.fft.ifft(psi_hat, out=psi_hat)
     psi_hat.flags.writeable = False  # so the field adopts it without a copy
     return SpinorField(grid, psi_hat)
 

@@ -635,7 +635,7 @@ def test_packet_whose_grid_square_overflows_exits_0(tmp_path):
     (["--kind", "plane_wave", "--mode-index", "5000"], "mode_index 5000 outside"),
     (["--engine", "kernel", "--times", "0.0390625,0.5"], "nearest commensurate value is 0.5078125"),
     (["--t-end", "5", "--t-step", "0.5", "--times", "0.5,1"], "times and t_end, t_step given together"),
-    (["--engine", "kernel", "--kind", "plane_wave", "--grid-l", "0.2", "--grid-n", "64", "--times", "0.1"],
+    (["--engine", "kernel", "--kind", "plane_wave", "--grid-l", "0.2", "--grid-n", "4", "--times", "0.1"],
      "dt = 0.1 exceeds L/4 = 0.05"),
     (["--mode-index", "5"], "gaussian_packet does not use mode_index, got mode_index = 5"),
     (["--kind", "plane_wave", "--width", "7"], "plane_wave does not use width, got width = 7.0"),
@@ -682,13 +682,14 @@ def test_mass_whose_square_overflows_exits_1_before_any_work(tmp_path, capsys, m
 
 
 def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
-    # At these masses the kernel's taps overflow (numpy warns), and the
-    # field's norm is infinite or NaN.  The walk is rejected by name after
-    # the run and no CSV is written; it used to hold 1024 rows of 0,0 (or of
-    # nan,nan) with exit 0.
+    # At these masses the kernel's taps overflow, and the field's norm is
+    # infinite or NaN.  The walk is rejected by name after the run, with no
+    # numpy warning before it, and no CSV is written; it used to hold 1024
+    # rows of 0,0 (or of nan,nan) with exit 0.
     out = tmp_path / "x.csv"
     for mass, total in (("1e20", "inf"), ("1e40", "nan")):
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             status = main(["distributions", "--engine", "kernel", "--mass", mass, "--t-end", "0.5078125",
                            "--output", str(out)])
         assert status == 2
@@ -696,6 +697,22 @@ def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
                                            f"{float(mass)} ends with norm {total}, not finite and "
                                            f"positive, so it cannot be renormalized\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("mass,t,total", [("1e80", "0.1171875", "inf"), ("1e150", "0.5078125", "nan")])
+def test_kernel_entropy_curve_whose_norm_overflows_exits_2_without_a_warning(tmp_path, capsys, mass, t, total):
+    # With warnings as errors, the walk's overflow still ends as the inf or
+    # NaN norm it is rejected by: exit 2 and one line, not a traceback.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["entropy-curve", "--engine", "kernel", "--mass", mass, "--times", t,
+                       "--output", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == (f"error: the kernel walk to t = {t} at mass = {float(mass)} "
+                                       f"ends with norm {total}, not finite and positive, so it "
+                                       f"cannot be renormalized\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -93,6 +93,53 @@ def test_engines_agree_on_entropy():
     assert abs(s_spectral - s_kernel) < 2e-3
 
 
+# The spinors of the scaled requests: packets of width 1.3 centred at -1.5
+# on the L = 20 box before scaling.
+SCALED_PACKETS = {
+    "equal": dict(kind="gaussian_packet", spinor=(1.0, 1.0)),
+    "chiral": dict(kind="gaussian_packet", spinor=(0.0, 1.0)),
+    "phased": dict(kind="gaussian_packet", spinor=(1.0, 0.6 + 0.8j)),
+    "positive_energy": dict(kind="positive_energy_packet", spinor=(1.0, 1.0)),
+}
+
+
+def scaled_request(engine, packet, scale):
+    """The request with L, sigma, center and t times scale and m over scale, at N = 1024."""
+    mass = 1.3 / scale
+    grid = Grid1D(20.0 * scale, 1024)
+    initial = InitialSpec(mass=mass, center=-1.5 * scale, width=1.3 * scale, **SCALED_PACKETS[packet])
+    times = tuple(cells * grid.dx for cells in (1, 3, 13, 26, 51))
+    return ScenarioConfig(mass=mass, initial=initial, times=times, grid=grid, engine=engine)
+
+
+def trace_entries(cfg):
+    trace = run_scenario(cfg).trace
+    return np.stack([trace.entropy, trace.rho00, trace.rho11, trace.rho01.real, trace.rho01.imag])
+
+
+@pytest.mark.parametrize("packet", list(SCALED_PACKETS))
+@pytest.mark.parametrize("engine", experiments.ENGINES)
+def test_results_do_not_depend_on_the_unit_of_length(engine, packet):
+    # The Dirac equation is unchanged when lengths and times are multiplied
+    # by a scale and the mass divided by it, and so is each engine's plan: a
+    # walk takes the same whole steps of cells on every box.  A power of 4
+    # scales every float exactly, square roots included, so the entries are
+    # the same bits and each probability per site, a density in 1/length,
+    # scales by 1/scale exactly; other scales agree to roundoff.
+    base = scaled_request(engine, packet, 1.0)
+    entries = trace_entries(base)
+    for scale in (4.0, 0.25):
+        cfg = scaled_request(engine, packet, scale)
+        assert trace_entries(cfg).tobytes() == entries.tobytes()
+        for t, t_scaled in zip(base.times, cfg.times):
+            one = distribution_dataset("d", replace(base, times=(t,))).series
+            scaled = distribution_dataset("d", replace(cfg, times=(t_scaled,))).series
+            for name, column in one.items():
+                assert (scaled[name] * scale).tobytes() == column.tobytes()
+    for scale in (2.0, 3.0):
+        assert np.abs(trace_entries(scaled_request(engine, packet, scale)) - entries).max() <= 1e-13
+
+
 def test_kernel_check_does_not_grow_with_time():
     # t = 1e8 on the figure grid is 8.5e8 steps; checking it plans two runs.
     ScenarioConfig(mass=1.0, initial=equal_superposition(1.0), times=(1e8,), engine="kernel")

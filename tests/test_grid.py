@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from dirac_decoherence import density, spectral
 from dirac_decoherence.experiments import ScenarioConfig
 from dirac_decoherence.grid import (
-    _JOINT_FFT_MAX_POINTS,
     Grid1D,
     InitialSpec,
     SpinorField,
-    _fft_rows,
     build_initial,
     check_mass,
     chirality_distributions,
@@ -355,21 +353,3 @@ def test_field_adopts_a_read_only_spectrum_it_owns_and_checks_its_shape(grid):
     with pytest.raises(ValueError, match=re.escape(f"spectrum must have shape (2, {grid.n_points}), "
                                                    f"got ({grid.n_points},)")):
         SpinorField.from_spectrum(grid, owned[0])
-
-
-@pytest.mark.parametrize("n_points", [_JOINT_FFT_MAX_POINTS // 2, _JOINT_FFT_MAX_POINTS,
-                                      2 * _JOINT_FFT_MAX_POINTS])
-@pytest.mark.parametrize("n_rows", [2, 3])
-@pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
-def test_fft_rows_equals_one_transform_per_row_bitwise(n_points, n_rows, inverse):
-    # Below, at and past the joint-call threshold, in place and out of place.
-    rng = np.random.default_rng(n_points + n_rows)
-    rows = rng.normal(size=(n_rows, n_points)) + 1j * rng.normal(size=(n_rows, n_points))
-    transform = np.fft.ifft if inverse else np.fft.fft
-    expected = np.stack([transform(row) for row in rows]).tobytes()
-    before = rows.tobytes()
-    fresh = _fft_rows(rows, inverse=inverse)
-    assert fresh.tobytes() == expected
-    assert rows.tobytes() == before  # out of place, the input is only read
-    assert _fft_rows(rows, inverse=inverse, out=rows) is rows
-    assert rows.tobytes() == expected

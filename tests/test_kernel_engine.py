@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_smooth_taps_component_structure():
 
 # The grid of each step length: j = 128 on 1024 points and j = 125 on 1000
 # are the longest steps evolve_step accepts there (dt = L/4, j = N/8); j = 41
-# on 32768 points transforms one row per call, past the joint-call threshold.
+# on 32768 points is a step on a grid past desk scale.
 STEP_GRIDS = {1: 1024, 2: 1024, 3: 1024, 7: 1024, 128: 1024, 125: 1000, 41: 32768}
 
 
@@ -169,20 +170,17 @@ def test_smooth_taps_chirality_plus_is_the_minus_taps_reversed(j, dx, m):
     assert same[1].tobytes() == same[-1][::-1].tobytes()
 
 
-@pytest.mark.parametrize(
-    "n_points,cells,row_calls,walk_calls,rewalk_calls",
-    [(1024, 10, 1, (3, 1), (2, 1)), (16384, 100, 1, (3, 1), (2, 1)), (32768, 100, 2, (4, 2), (2, 2))],
-    ids=["n1024", "n16384", "n32768"],
-)
-def test_numpy_transform_calls_per_step(n_points, cells, row_calls, walk_calls, rewalk_calls, fft_calls):
-    # Up to the joint-call threshold a field's two rows go in one numpy call;
-    # past it, one call per row.  A tap build transforms one row, in one
-    # call.  A step from a field a step made multiplies spectra and makes no
-    # call; reading its values inverts its rows, once.  A walk (10 cells:
-    # 3 + 3 + 3 + 1; 100 cells: 41 + 41 + 18 at 16384 points, 82 + 18 at
-    # 32768) transforms its first field, builds taps once per step length
-    # and inverts its last field; the first field keeps its spectrum, so a
-    # second walk from it makes no forward call for it.
+@pytest.mark.parametrize("n_points,cells", [(1024, 10), (16384, 100), (32768, 100), (65536, 400)],
+                         ids=["n1024", "n16384", "n32768", "n65536"])
+def test_numpy_transform_calls_per_step(n_points, cells, fft_calls):
+    # A field's two rows go in one numpy call at every N, and a tap build
+    # transforms one row, in one call.  A step from a field a step made
+    # multiplies spectra and makes no call; reading its values inverts its
+    # rows, once.  A walk (10 cells: 3 + 3 + 3 + 1; 100 cells: 41 + 41 + 18
+    # at 16384 points, 82 + 18 at 32768; 400 cells at 65536: 164 + 164 + 72)
+    # transforms its first field, builds taps once per step length and
+    # inverts its last field, two step lengths each; the first field keeps
+    # its spectrum, so a second walk from it makes no forward call for it.
     grid = Grid1D(20.0, n_points)
     spectra = kernel_engine._tap_spectra(3, grid, 1.0)
     stepped = kernel_engine.evolve_step(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0, 3 * grid.dx,
@@ -191,15 +189,15 @@ def test_numpy_transform_calls_per_step(n_points, cells, row_calls, walk_calls, 
     twice = kernel_engine.evolve_step(stepped, 1.0, 3 * grid.dx, spectra=spectra)
     assert fft_calls == {"fft": 0, "ifft": 0, "fft_rows": 0, "ifft_rows": 0}
     assert twice.values is twice.values
-    assert fft_calls == {"fft": 0, "ifft": row_calls, "fft_rows": 0, "ifft_rows": 2}
+    assert fft_calls == {"fft": 0, "ifft": 1, "fft_rows": 0, "ifft_rows": 2}
     fft_calls.zero()
     kernel_engine._tap_spectra(3, grid, 1.0)
     assert fft_calls == {"fft": 1, "ifft": 0, "fft_rows": 1, "ifft_rows": 0}
     fresh = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
-    for expected in (walk_calls, rewalk_calls):
+    for forward_calls, forward_rows in ((3, 4), (2, 2)):
         fft_calls.zero()
         kernel_engine.evolve_to(fresh, 1.0, cells * grid.dx)
-        assert (fft_calls["fft"], fft_calls["ifft"]) == expected
+        assert fft_calls == {"fft": forward_calls, "ifft": 1, "fft_rows": forward_rows, "ifft_rows": 2}
 
 
 @pytest.mark.parametrize("m", [-1.0, np.nan, np.inf])
@@ -219,13 +217,14 @@ def test_kernel_rejects_a_mass_it_cannot_use(equal_packet, m, monkeypatch):
 
 @pytest.mark.parametrize("m,total", [(1e20, "inf"), (1e40, "nan")])
 def test_evolve_to_rejects_a_norm_that_is_not_finite(equal_packet, m, total):
-    # The taps overflow at these masses (numpy warns): the walk ends with an
-    # infinite or NaN norm, and is rejected by name where it used to be
-    # divided out to an all-zero or all-NaN field.
+    # The taps overflow at these masses: the walk ends with an infinite or
+    # NaN norm, and is rejected by name where it used to be divided out to an
+    # all-zero or all-NaN field, with no numpy warning before it.
     t = 13 * equal_packet.grid.dx
     message = (f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, not finite and "
                f"positive, so it cannot be renormalized")
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        warnings.simplefilter("error")
         kernel_engine.evolve_to(equal_packet, m, t)
 
 
@@ -262,10 +261,10 @@ def test_oversized_step_rejected(equal_packet):
     dt = 154 * equal_packet.grid.dx  # commensurate but beyond L/4
     with pytest.raises(ValueError, match="lightcone"):
         kernel_engine.evolve_step(equal_packet, 1.0, dt)
-    # The walk plan rejects it before any step: its first step, 16 cells of
-    # dx = 0.00625, is 0.1 > L/4 = 0.05.
+    # The walk plan rejects it before any step: its first step, 1 cell of
+    # dx = 0.1, is 0.1 > L/4 = 0.05.
     with pytest.raises(ValueError, match="lightcone"):
-        kernel_engine.walk(0.1, Grid1D(0.2, 64))
+        kernel_engine.walk(0.1, Grid1D(0.2, 4))
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
