@@ -106,7 +106,7 @@ def evolved(cfg: ScenarioConfig, t: float) -> SpinorField:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Evolve from t = 0 to each sample time; collect entropy and entries."""
-    times = np.asarray(cfg.times, dtype=np.float64)
+    times = np.asarray(cfg.times, dtype=np.float64) + 0.0  # -0.0 becomes 0.0; no other float moves
     entropy = np.empty(len(times))
     rho00 = np.empty(len(times))
     rho11 = np.empty(len(times))

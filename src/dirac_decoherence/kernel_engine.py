@@ -226,9 +226,10 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
 
     Each run of equal steps shares one build of its tap spectra (none at
     m = 0), dropped before the next run's.  At m > 0 the walk steps spectra,
-    and only the last field's values are computed, to renormalize.  A walk
-    whose norm is not finite and positive (its taps overflow at a huge mass)
-    is rejected by name, with no numpy warning before it.
+    and only the last field's values are computed, to renormalize.  A step
+    whose m * dt passes 200 is rejected by name by the bessel functions, and
+    a walk whose norm is not finite and positive (its taps overflow over many
+    steps at a large mass) by name here, each with no numpy warning before it.
     """
     check_mass(m)
     grid = field.grid

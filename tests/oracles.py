@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 The Bessel oracle sums the defining power series in 60-digit arithmetic with
-mpmath, so it shares no code or algorithm branch with the production
-evaluator (which switches to an asymptotic expansion for large arguments).
-J2 comes from the three-term recurrence on the oracle values.
+mpmath, so it shares no code or algorithm with the production evaluator
+(the trapezoid rule on Bessel's integrals).  J2 comes from the three-term
+recurrence on the oracle values.
 
 mode_vectors_reference gives a field's Fourier amplitudes by the explicit
 transform, in the operation order spectral.decompose uses, so the tests can
@@ -13,15 +13,17 @@ sum over energy signs included, to check the route through the spectral
 engine bit for bit.
 
 The float64 references at the end fix the exact operation order the
-production code must reproduce bit for bit: the full 42-term series
-recurrence, and a kernel step that takes a field's spectrum to the next
-one, multiplying it by symbol rows unpacked from one out-of-place transform
-of taps laid out by index array, with the lightcone delta.  Kept as
+production code must reproduce bit for bit: the trapezoid rule on Bessel's
+integrals, out of place, and a kernel step that takes a field's spectrum to
+the next one, multiplying it by symbol rows unpacked from one out-of-place
+transform of taps laid out by index array, with the lightcone delta.  Kept as
 references equal to it up to roundoff: symbol rows with each tap set
 transformed on its own, and two position-space steps, one that adds each
 field row's two cone spectra before one inverse and adds the shifts after
 it, and one that inverts each cone sum on its own.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -97,23 +99,23 @@ def reduce_from_modes_reference(modes, t: float) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def full_series(x: np.ndarray, first: float, denom) -> np.ndarray:
-    """All 42 terms of term_k = term_(k-1) * q / denom(k), q = -x^2/4, in float64."""
-    q = -(x * x) / 4.0
-    term = np.full_like(x, first)
-    acc = np.full_like(x, first)
-    for k in range(1, 42):
-        term = term * q / denom(k)
-        acc = acc + term
-    return acc
+def trapezoid_reference(x: np.ndarray, power: int) -> np.ndarray:
+    """sum_k w_k cos(x sin theta_k) / sum_k w_k over theta_k = k pi / M, k < M,
+    M = ceil(0.75 max x) + 12 and w_k = cos(theta_k)^power, out of place in float64."""
+    m = math.ceil(0.75 * float(np.max(x, initial=0.0))) + 12
+    theta = np.arange(m) * (np.pi / m)
+    w = np.cos(theta) ** power
+    return (np.cos(x[..., None] * np.sin(theta)) * w).sum(axis=-1) / w.sum()
 
 
-def j0_float_reference(x: np.ndarray) -> np.ndarray:
-    return full_series(x, 1.0, lambda k: k * k)
+def j0_trapezoid_reference(x: np.ndarray) -> np.ndarray:
+    """J0(x) = (1/pi) int_0^pi cos(x sin theta) d theta, by the reference rule."""
+    return trapezoid_reference(x, 0)
 
 
-def j1_over_x_float_reference(x: np.ndarray) -> np.ndarray:
-    return full_series(x, 0.5, lambda k: k * (k + 1))
+def j1_over_x_trapezoid_reference(x: np.ndarray) -> np.ndarray:
+    """J1(x)/x = (1/pi) int_0^pi cos^2 theta cos(x sin theta) d theta, by the reference rule."""
+    return 0.5 * trapezoid_reference(x, 2)
 
 
 def tap_layout_reference(taps: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -131,17 +133,16 @@ def cone_spectrum_reference(psi: np.ndarray, taps: np.ndarray, j: int) -> np.nda
 
 
 def _step_taps(dx: float, m: float, j: int):
-    """A j-cell step's tap sets by the full series, cone arguments on the series branch."""
+    """A j-cell step's tap sets, with Bessel values by the trapezoid reference."""
     dt = j * dx
     d = np.arange(-j, j + 1)
     sep = d * dx
     tau = dx * np.sqrt(np.maximum(j * j - d * d, 0).astype(np.float64))
-    assert (m * tau).max() <= 14.0
     weights = np.ones(2 * j + 1)
     weights[0] = weights[-1] = 0.5
-    cross = 1j * (m / 2.0) * j0_float_reference(m * tau) * weights * dx
+    cross = 1j * (m / 2.0) * j0_trapezoid_reference(m * tau) * weights * dx
     same = {
-        alpha: -(dt + alpha * sep) * (m * m / 2.0) * j1_over_x_float_reference(m * tau) * weights * dx
+        alpha: -(dt + alpha * sep) * (m * m / 2.0) * j1_over_x_trapezoid_reference(m * tau) * weights * dx
         for alpha in (-1, 1)
     }
     return same, cross

@@ -1,13 +1,16 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
 from dirac_decoherence import bessel
 
 from oracles import (
-    j0_float_reference,
     j0_oracle,
+    j0_trapezoid_reference,
     j1_oracle,
-    j1_over_x_float_reference,
+    j1_over_x_trapezoid_reference,
     j2_oracle,
 )
 
@@ -60,24 +63,15 @@ def test_negative_argument_rejected():
 @pytest.mark.parametrize("x", [np.nan, np.array([0.1, np.nan]), np.array([20.0, np.nan, 1.0]),
                                np.inf, np.array([1.0, np.inf])])
 def test_non_finite_argument_rejected(x):
-    # The asymptotic branch would return NaN for an infinite argument.
     for fn in (bessel.j0, bessel.j1, bessel.j1_over_x):
         with pytest.raises(ValueError, match="finite nonnegative"):
             fn(x)
 
 
-def _float_reference(x):
-    """j0, j1 and j1_over_x from the full 42-term series (x <= 14) or _asymptotic."""
-    small = x <= bessel.SERIES_SWITCH
-    j0, j1, j1_over_x = (np.empty_like(x) for _ in range(3))
-    j0[small] = j0_float_reference(x[small])
-    j1_over_x[small] = j1_over_x_float_reference(x[small])
-    j1[small] = x[small] * j1_over_x[small]
-    large = x[~small]
-    j0[~small] = bessel._asymptotic(large, 0)
-    j1[~small] = bessel._asymptotic(large, 1)
-    j1_over_x[~small] = bessel._asymptotic(large, 1) / large
-    return j0, j1, j1_over_x
+def _trapezoid_reference(x):
+    """j0, j1 and j1_over_x by the out-of-place trapezoid rule, j1 = x * j1_over_x."""
+    j1_over_x = j1_over_x_trapezoid_reference(x)
+    return j0_trapezoid_reference(x), x * j1_over_x, j1_over_x
 
 
 def _bit_identity_cases():
@@ -96,25 +90,39 @@ def _bit_identity_cases():
     return cases
 
 
-def test_bitwise_equal_to_full_series():
-    # The series stops early only when no later term can change a bit.
+def test_bitwise_equal_to_trapezoid_reference():
+    # The in-place cosine and weighting give the written-out rule's bits.
     for x in _bit_identity_cases():
-        expected = _float_reference(x)
+        expected = _trapezoid_reference(x)
         for fn, ref in zip((bessel.j0, bessel.j1, bessel.j1_over_x), expected):
             assert fn(x).tobytes() == ref.tobytes(), (fn.__name__, x)
 
 
 def test_scalar_and_empty_arguments():
     assert isinstance(bessel.j0(0.1), float)
-    assert bessel.j0(0.1) == float(j0_float_reference(np.array([0.1]))[0])
+    for fn, ref in zip((bessel.j0, bessel.j1, bessel.j1_over_x), _trapezoid_reference(np.array([0.1]))):
+        assert fn(0.1) == float(ref[0])
     assert bessel.j1_over_x(np.array([])).shape == (0,)
+
+
+ACCURACY_GRID = np.linspace(0.0, 200.0, 401)
+
+
+@functools.cache
+def _on_accuracy_grid(oracle):
+    return np.array([oracle(float(x)) for x in ACCURACY_GRID])
 
 
 @pytest.mark.parametrize("nu,fn,oracle", [(0, bessel.j0, j0_oracle), (1, bessel.j1, j1_oracle)])
 def test_accuracy_against_series_oracle(nu, fn, oracle):
-    xs = np.linspace(0.0, 200.0, 401)
-    worst = max(abs(fn(float(x)) - oracle(float(x))) for x in xs)
-    assert worst < 1e-10
+    worst = max(abs(fn(float(x)) - v) for x, v in zip(ACCURACY_GRID, _on_accuracy_grid(oracle)))
+    assert worst < (1e-14 if nu == 0 else 1e-12)
+
+
+def test_j1_over_x_accuracy_against_series_oracle():
+    xs, j1s = ACCURACY_GRID[1:], _on_accuracy_grid(j1_oracle)[1:]
+    worst = max(abs(bessel.j1_over_x(float(x)) - v / x) for x, v in zip(xs, j1s))
+    assert worst < 1e-14
 
 
 def test_recurrence_consistency():
@@ -128,21 +136,10 @@ def test_recurrence_consistency():
 def test_derivative_identity():
     # J0'(x) = -J1(x) via central differences.
     rng = np.random.default_rng(7)
-    # h large enough that the ~5e-12 branch-switch offset near x = 14 cannot
-    # blow up in the difference quotient.
     h = 1e-4
     for x in rng.uniform(0.1, 50.0, size=100):
         deriv = (bessel.j0(x + h) - bessel.j0(x - h)) / (2.0 * h)
         assert abs(deriv + bessel.j1(x)) < 1e-7
-
-
-def test_branch_overlap_window():
-    # Both branches stay within 1e-10 of each other around the switch point.
-    xs = np.linspace(bessel.SERIES_SWITCH - 0.5, bessel.SERIES_SWITCH + 0.5, 41)
-    gap = np.abs(bessel._series_j0(xs) - bessel._asymptotic(xs, 0)).max()
-    assert gap < 1e-10
-    gap1 = np.abs(xs * bessel._series_j1_over_x(xs) - bessel._asymptotic(xs, 1)).max()
-    assert gap1 < 1e-10
 
 
 def test_array_input():
@@ -153,10 +150,23 @@ def test_array_input():
 
 
 def test_result_error_bound():
-    # Each branch keeps j0 and j1 within its stated absolute error.
-    for x in (0.5, 13.9, 14.1, 150.0):
-        small = x <= bessel.SERIES_SWITCH
-        bound = bessel._SERIES_ABS_ERROR if small else bessel._ASYMPTOTIC_ABS_ERROR
-        assert bound <= 1e-10
-        for fn, oracle in ((bessel.j0, j0_oracle), (bessel.j1, j1_oracle)):
-            assert abs(fn(x) - oracle(x)) <= bound
+    # The stated bound: j0 and j1_over_x within 4e-15, j1 = x * j1_over_x
+    # within x * 4e-15 (4e-15 below x = 1).
+    xs = np.array([0.0, 0.5, 13.9, 14.1, 47.3, 150.0, 199.7, 200.0])
+    for call in [*xs[:, None], xs]:  # each argument alone, then all in one call
+        for x, v0, v1x, v1 in zip(call, bessel.j0(call), bessel.j1_over_x(call), bessel.j1(call)):
+            x = float(x)
+            assert abs(v0 - j0_oracle(x)) <= 4e-15
+            assert abs(v1 - j1_oracle(x)) <= 4e-15 * max(x, 1.0)
+            if x > 0:
+                assert abs(v1x - j1_oracle(x) / x) <= 4e-15
+
+
+def test_domain_ends_at_200():
+    for fn in (bessel.j0, bessel.j1, bessel.j1_over_x):
+        assert np.isfinite(fn(200.0)) and fn(np.array([0.0, 200.0])).shape == (2,)
+    past = float(np.nextafter(200.0, np.inf))
+    for x in (past, np.array([1.0, past, 3.0])):
+        for fn in (bessel.j0, bessel.j1, bessel.j1_over_x):
+            with pytest.raises(ValueError, match=f"finite nonnegative .* to {re.escape(repr(past))}$"):
+                fn(x)

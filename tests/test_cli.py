@@ -420,9 +420,9 @@ def test_figures_match_recorded_digests(tmp_path):
 # phased, off-centre spinor.  Recorded with numpy 2.4.
 REQUEST_DIGESTS = {
     "entropy-curve --engine kernel --mass 1.3 --times 0.0390625,0.1171875,0.5078125":
-        "723a353aa8fc7de06b7aab5d06f942767c5d0d1f344b1ed479b4a6e12d920aad",
+        "106beaade4aeff52ded0204b711f346509b951da9a3d51145fd85ee819d3fb30",
     "distributions --engine kernel --mass 2 --t-end 0.5078125":
-        "456797e188be49d05f08abc68530413584a100b48f8fa3ce40a51c8d76406de6",
+        "61615423aa647e8e3fdd9517eda21adb66da44c9504b99fe0fceb9373340531c",
     "entropy-curve --kind plane_wave --mode-index 7 --energy-sign -1 --mass 0.5 --t-end 1 --t-step 0.25":
         "d9f7778fd603300630c5bad6f7b8c56fdbbee4fd3234c4850ed69a9bfd92d72a",
     "entropy-curve --kind positive_energy_packet --mass 2 --t-end 1 --t-step 0.1":
@@ -682,24 +682,30 @@ def test_mass_whose_square_overflows_exits_1_before_any_work(tmp_path, capsys, m
 
 
 def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
-    # At these masses the kernel's taps overflow, and the field's norm is
-    # infinite or NaN.  The walk is rejected by name after the run, with no
-    # numpy warning before it, and no CSV is written; it used to hold 1024
-    # rows of 0,0 (or of nan,nan) with exit 0.
+    # At these masses the kernel's taps overflow over 100 steps, and the
+    # field's norm is infinite or NaN.  The walk is rejected by name after the
+    # run, with no numpy warning before it, and no CSV is written; it used to
+    # hold 1024 rows of 0,0 (or of nan,nan) with exit 0.  At 1e20 a step needs
+    # J past 200, and that is rejected first.
     out = tmp_path / "x.csv"
-    for mass, total in (("1e20", "inf"), ("1e40", "nan")):
+    for mass, t, error in (
+        ("1000", "11.71875", "the kernel walk to t = 11.71875 at mass = 1000.0 ends with norm inf, "
+                             "not finite and positive, so it cannot be renormalized"),
+        ("1700", "11.71875", "the kernel walk to t = 11.71875 at mass = 1700.0 ends with norm nan, "
+                             "not finite and positive, so it cannot be renormalized"),
+        ("1e20", "0.5078125", "j0 requires finite nonnegative arguments up to 200.0; "
+                              "got arguments from 0.0 to 1.171875e+19"),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            status = main(["distributions", "--engine", "kernel", "--mass", mass, "--t-end", "0.5078125",
+            status = main(["distributions", "--engine", "kernel", "--mass", mass, "--t-end", t,
                            "--output", str(out)])
         assert status == 2
-        assert capsys.readouterr().err == (f"error: the kernel walk to t = 0.5078125 at mass = "
-                                           f"{float(mass)} ends with norm {total}, not finite and "
-                                           f"positive, so it cannot be renormalized\n")
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
 
-@pytest.mark.parametrize("mass,t,total", [("1e80", "0.1171875", "inf"), ("1e150", "0.5078125", "nan")])
+@pytest.mark.parametrize("mass,t,total", [("1000", "11.71875", "inf"), ("1700", "11.71875", "nan")])
 def test_kernel_entropy_curve_whose_norm_overflows_exits_2_without_a_warning(tmp_path, capsys, mass, t, total):
     # With warnings as errors, the walk's overflow still ends as the inf or
     # NaN norm it is rejected by: exit 2 and one line, not a traceback.
@@ -713,6 +719,28 @@ def test_kernel_entropy_curve_whose_norm_overflows_exits_2_without_a_warning(tmp
                                        f"ends with norm {total}, not finite and positive, so it "
                                        f"cannot be renormalized\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mass,largest", [("1e15", "117187500000000.0"), ("1e150", "1.171875e+149")])
+def test_kernel_step_past_the_bessel_domain_exits_2_without_a_warning(tmp_path, capsys, mass, largest):
+    # A 3-cell step at these masses needs J0 at m * dt past 200: rejected by
+    # name, with one line and no numpy warning.  1e15 once printed 0.510838686368.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["entropy-curve", "--engine", "kernel", "--mass", mass, "--times", "0.5078125",
+                       "--output", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == ("error: j0 requires finite nonnegative arguments up to 200.0; "
+                                       f"got arguments from 0.0 to {largest}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine,later", [("spectral", "0.5"), ("kernel", "0.5078125")])
+def test_a_sample_time_of_negative_zero_prints_as_zero(tmp_path, engine, later):
+    out = tmp_path / "x.csv"
+    assert main(["entropy-curve", "--engine", engine, "--times", f"-0.0,{later}", "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[0] == "0.000000000000"
 
 
 @pytest.mark.parametrize("args", [

@@ -70,10 +70,10 @@ def random_values(n_points, seed):
 @pytest.mark.parametrize("j", list(STEP_GRIDS))
 @pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
 def test_step_bitwise_equal_to_reference(j, m):
-    # The full Bessel series, index-array tap layout with the lightcone
-    # deltas and out-of-place FFTs give the same bits as the early-stopped
-    # series, the sliced tap block and in-place transforms: the step's
-    # spectrum, and its values when they are read.
+    # The out-of-place trapezoid rule for the Bessel values, index-array tap
+    # layout with the lightcone deltas and out-of-place FFTs give the same
+    # bits as the in-place rule, the sliced tap block and in-place
+    # transforms: the step's spectrum, and its values when they are read.
     grid = Grid1D(20.0, STEP_GRIDS[j])
     values = random_values(grid.n_points, j)
     out = kernel_engine.evolve_step(SpinorField(grid, values), m, j * grid.dx)
@@ -162,10 +162,11 @@ def test_tap_spectra_chirality_plus_row_is_the_minus_row_mirrored(n_points, j, m
 
 
 @pytest.mark.parametrize("j,dx,m", [(1, 0.039, 1.0), (13, 0.039, 50.0), (41, 20 / 8192, 1.3),
-                                    (164, 40 / 65536, 1.3), (8, 0.025, 0.0), (125, 0.04, 1e8)])
+                                    (164, 40 / 65536, 1.3), (8, 0.025, 0.0), (125, 0.04, 40.0)])
 def test_smooth_taps_chirality_plus_is_the_minus_taps_reversed(j, dx, m):
-    # Offset d of chirality +1 is offset -d of chirality -1, bit for bit, on
-    # both Bessel branches: what lets _tap_spectra mirror its row 0.
+    # Offset d of chirality +1 is offset -d of chirality -1, bit for bit, up
+    # to the largest Bessel argument, m * dt = 200 in the last case: what
+    # lets _tap_spectra mirror its row 0.
     same, _ = kernel_engine._smooth_taps(j, dx, m)
     assert same[1].tobytes() == same[-1][::-1].tobytes()
 
@@ -215,17 +216,29 @@ def test_kernel_rejects_a_mass_it_cannot_use(equal_packet, m, monkeypatch):
         kernel_engine.evolve_to(equal_packet, m, dt)
 
 
-@pytest.mark.parametrize("m,total", [(1e20, "inf"), (1e40, "nan")])
+@pytest.mark.parametrize("m,total", [(1000.0, "inf"), (1700.0, "nan"), (1e20, None)])
 def test_evolve_to_rejects_a_norm_that_is_not_finite(equal_packet, m, total):
-    # The taps overflow at these masses: the walk ends with an infinite or
-    # NaN norm, and is rejected by name where it used to be divided out to an
-    # all-zero or all-NaN field, with no numpy warning before it.
-    t = 13 * equal_packet.grid.dx
+    # The taps overflow at these masses over 100 steps of 3 cells: the walk
+    # ends with an infinite or NaN norm, and is rejected by name where it used
+    # to be divided out to an all-zero or all-NaN field, with no numpy warning
+    # before it.  At m = 1e20 a step needs J past 200 and is rejected first.
+    t = 300 * equal_packet.grid.dx
     message = (f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, not finite and "
                f"positive, so it cannot be renormalized")
+    if total is None:
+        message = "j0 requires finite nonnegative arguments up to 200.0; got arguments from 0.0 to 1.171875e+19"
     with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         warnings.simplefilter("error")
         kernel_engine.evolve_to(equal_packet, m, t)
+
+
+@pytest.mark.parametrize("n_points,cells", [(1024, 13), (65536, 200)])
+def test_walk_at_unit_m_dx_stays_inside_the_bessel_domain(n_points, cells):
+    # m * dx = 1 is the edge of the kernel's valid range; the longest step's
+    # m * dt (3 cells at 1024 points, 164 at 65536) stays below 200.
+    grid = Grid1D(20.0, n_points)
+    out = kernel_engine.evolve_to(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1 / grid.dx, cells * grid.dx)
+    assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_massless_step_is_pure_translation(equal_packet):
