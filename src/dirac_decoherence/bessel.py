@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 # The largest argument: the end of the range tested against the 60-digit series.
-_LARGEST = 200.0
+LARGEST = 200.0
 
 
 def _trapezoid(x, name, power):
@@ -36,8 +36,8 @@ def _trapezoid(x, name, power):
     x = np.asarray(x, dtype=np.float64)
     xv = np.atleast_1d(x)
     lo, hi = float(xv.min(initial=np.inf)), float(xv.max(initial=-np.inf))
-    if not (lo >= 0 and hi <= _LARGEST):  # also rejects NaN
-        raise ValueError(f"{name} requires finite nonnegative arguments up to {_LARGEST}; "
+    if not (lo >= 0 and hi <= LARGEST):  # also rejects NaN
+        raise ValueError(f"{name} requires finite nonnegative arguments up to {LARGEST}; "
                          f"got arguments from {lo!r} to {hi!r}")
     m = math.ceil(0.75 * max(hi, 0.0)) + 12
     theta = np.arange(m) * (np.pi / m)

@@ -18,13 +18,13 @@ override file values.  --dump-config prints the effective configuration in
 the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
 (a time whose phase omega * t overflows float64; for the kernel engine, a
-time that is not a whole number of cells), before any evolution; 2 a failure
-after the run started, such as an output that cannot be written or that is
-also the path of one of the figure's insets, a kernel step whose Bessel
-argument m * dt passes 200 (a mass such as 1e15 on the figure grid), or a
-field that is not finite (a kernel walk at mass 1000 to t = 11.71875).  A request the host has no memory
-for (say, a sample grid of 1e12 times) prints one error line like any other
-and exits 1 or 2 by the same rule.
+time that is not a whole number of cells, or a mass whose longest step needs
+a Bessel argument m * dt past 200, from 1707 on the figure grid), before any
+evolution; 2 a failure after the run started, such as an output that cannot
+be written or that is also the path of one of the figure's insets, or a
+kernel walk whose norm is not finite (mass 1000 to t = 11.71875).  A
+request the host has no memory for (say, a sample grid of 1e12 times) prints
+one error line like any other and exits 1 or 2 by the same rule.
 """
 
 from __future__ import annotations

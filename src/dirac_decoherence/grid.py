@@ -202,6 +202,21 @@ def norm(field: SpinorField) -> float:
     return float(np.sum(np.abs(field.values) ** 2) * field.grid.dx)
 
 
+def normalized(field: SpinorField, what: str) -> SpinorField:
+    """field divided by the square root of its norm, in a fresh read-only array.
+
+    Rejects, naming what, a norm that is not finite and positive (NaN too).
+    Past that check every value is finite, since |psi_i|^2 <= norm / dx.
+    """
+    total = norm(field)
+    if not 0 < total < np.inf:
+        raise ValueError(f"{what} ends with norm {total}, not finite and positive, "
+                         f"so it cannot be renormalized")
+    values = field.values / np.sqrt(total)
+    values.flags.writeable = False  # so the field adopts it without a copy
+    return SpinorField(field.grid, values)
+
+
 def make_gaussian_packet(
     grid: Grid1D, center: float, width: float, spinor: tuple[complex, complex]
 ) -> SpinorField:
@@ -236,9 +251,8 @@ def make_gaussian_packet(
     parts = np.asarray(spinor, dtype=np.complex128).view(np.float64)
     s = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
     values = s[:, None] * envelope[None, :]
-    total = np.sum(np.abs(values) ** 2) * grid.dx
-    values /= np.sqrt(total)
-    return SpinorField(grid, values)
+    values.flags.writeable = False  # so the field adopts it without a copy
+    return normalized(SpinorField(grid, values), "the Gaussian packet")
 
 
 def make_plane_wave(grid: Grid1D, mode_index: int, energy_sign: int, mass: float) -> SpinorField:
@@ -273,13 +287,8 @@ def build_initial(spec: InitialSpec, grid: Grid1D) -> SpinorField:
     from .spectral import project_energy
 
     packet = make_gaussian_packet(grid, spec.center, spec.width, spec.spinor)
-    projected = project_energy(packet, spec.mass)
-    total = norm(projected)
-    if not 0 < total < np.inf:  # NaN too
-        raise ValueError("packet has no positive-energy content")
-    values = projected.values / np.sqrt(total)
-    values.flags.writeable = False  # so the field adopts it without a copy
-    return SpinorField(grid, values)
+    return normalized(project_energy(packet, spec.mass),
+                      "packet has no positive-energy content: its projection")
 
 
 def chirality_distributions(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:

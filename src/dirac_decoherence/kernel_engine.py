@@ -39,14 +39,13 @@ when evolve_to reads the last field's values to renormalize.  At m = 0 a
 step has no taps and shifts the rows in position space, bit for bit.  Each
 of these transforms is one numpy call over its array's last axis.
 
-Stepping spectra moves the result by roundoff only: one step is within
-6.0e-16 max|psi| of a step that inverts each row's two cone spectra and adds
-the shifts in position space (N from 1000 to 16384, j from 1 to N/8, m from
-0.5 to 2), and each symbol row is within 8.2e-16 max|K_j| of its own
-transform (N from 1000 to 65536, j from 1 to N/8, m from 0 to 50).  A
-row's two cone sums differ from the two direct O(N j) sums by at most
-1.5e-16 times (sum|S| + sum|C|) * max|psi|, S and C the row's tap sets, as
-measured for N from 64 to 65536 and j from 1 to N/8.
+Stepping spectra moves the result by roundoff only.  The tests hold one
+step within 2e-15 max|psi| of a step that inverts each row's two cone
+spectra and adds the shifts in position space (N from 1000 to 32768, j from
+1 to N/8, m from 0.5 to 2), each symbol row within 2e-15 max|K_j| of its
+own transform (N from 1000 to 16384, j from 1 to N/8, m from 0 to 50), and
+a cone sum within 1e-12 of the direct O(N j) sum on unit-scale random rows
+(N from 64 to 1024, j from 1 to N/8).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bessel
-from .grid import Grid1D, SpinorField, check_mass, norm
+from .grid import Grid1D, SpinorField, check_mass, normalized
 
 # The correlation below is the only implementation, an FFT convolution in
 # numpy; the name is kept for callers that report which one ran.
@@ -199,11 +198,7 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
     n = grid.n_points
     if m == 0:
         # Component alpha translated by alpha*dt, that is np.roll by alpha*j.
-        minus, plus = field.values
-        values = np.empty((2, n), dtype=np.complex128)
-        out_minus, out_plus = values
-        out_minus[:-j], out_minus[-j:] = minus[j:], minus[:j]
-        out_plus[j:], out_plus[:j] = plus[:-j], plus[-j:]
+        values = np.stack([np.roll(field.minus, -j), np.roll(field.plus, j)])
         values.flags.writeable = False  # so the field adopts it without a copy
         return SpinorField(grid, values)
     same_minus, cross, same_plus = _tap_spectra(j, grid, m) if spectra is None else spectra
@@ -229,7 +224,8 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
     and only the last field's values are computed, to renormalize.  A step
     whose m * dt passes 200 is rejected by name by the bessel functions, and
     a walk whose norm is not finite and positive (its taps overflow over many
-    steps at a large mass) by name here, each with no numpy warning before it.
+    steps at a large mass) by grid.normalized, naming the walk, each with no
+    numpy warning before it.
     """
     check_mass(m)
     grid = field.grid
@@ -243,10 +239,4 @@ def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
             for _ in range(count):
                 out = evolve_step(out, m, cells * grid.dx, spectra=spectra)
             del spectra
-        total = norm(out)
-    if not 0 < total < np.inf:
-        raise ValueError(f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, "
-                         f"not finite and positive, so it cannot be renormalized")
-    values = out.values / np.sqrt(total)
-    values.flags.writeable = False  # adopted, as in evolve_step
-    return SpinorField(grid, values)
+        return normalized(out, f"the kernel walk to t = {t} at mass = {m}")

@@ -10,7 +10,8 @@ transform, in the operation order spectral.decompose uses, so the tests can
 check its projection bit for bit.  reduce_from_modes_reference writes the
 momentum route to the 2x2 density matrix out as one expression, phases and
 sum over energy signs included, to check the route through the spectral
-engine bit for bit.
+engine bit for bit.  normalized_reference writes out the division by the
+root of the trapezoid norm, to check grid.normalized bit for bit.
 
 The float64 references at the end fix the exact operation order the
 production code must reproduce bit for bit: the trapezoid rule on Bessel's
@@ -97,6 +98,11 @@ def reduce_from_modes_reference(modes, t: float) -> np.ndarray:
     )
     rho = np.einsum("an,bn->ab", psi_hat, psi_hat.conj())
     return (rho + rho.conj().T) / 2.0
+
+
+def normalized_reference(values: np.ndarray, dx: float) -> np.ndarray:
+    """values / sqrt(dx sum |values|^2), out of place."""
+    return values / np.sqrt(np.sum(np.abs(values) ** 2) * dx)
 
 
 def trapezoid_reference(x: np.ndarray, power: int) -> np.ndarray:

@@ -685,16 +685,13 @@ def test_distributions_of_a_non_finite_field_exit_2(tmp_path, capsys):
     # At these masses the kernel's taps overflow over 100 steps, and the
     # field's norm is infinite or NaN.  The walk is rejected by name after the
     # run, with no numpy warning before it, and no CSV is written; it used to
-    # hold 1024 rows of 0,0 (or of nan,nan) with exit 0.  At 1e20 a step needs
-    # J past 200, and that is rejected first.
+    # hold 1024 rows of 0,0 (or of nan,nan) with exit 0.
     out = tmp_path / "x.csv"
     for mass, t, error in (
         ("1000", "11.71875", "the kernel walk to t = 11.71875 at mass = 1000.0 ends with norm inf, "
                              "not finite and positive, so it cannot be renormalized"),
         ("1700", "11.71875", "the kernel walk to t = 11.71875 at mass = 1700.0 ends with norm nan, "
                              "not finite and positive, so it cannot be renormalized"),
-        ("1e20", "0.5078125", "j0 requires finite nonnegative arguments up to 200.0; "
-                              "got arguments from 0.0 to 1.171875e+19"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -721,19 +718,41 @@ def test_kernel_entropy_curve_whose_norm_overflows_exits_2_without_a_warning(tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mass,largest", [("1e15", "117187500000000.0"), ("1e150", "1.171875e+149")])
-def test_kernel_step_past_the_bessel_domain_exits_2_without_a_warning(tmp_path, capsys, mass, largest):
-    # A 3-cell step at these masses needs J0 at m * dt past 200: rejected by
-    # name, with one line and no numpy warning.  1e15 once printed 0.510838686368.
+@pytest.mark.parametrize("subcommand,mass,reach", [
+    ("entropy-curve", "1707", "200.0390625"),
+    ("entropy-curve", "1e15", "117187500000000.0"),
+    ("entropy-curve", "1e150", "1.171875e+149"),
+    ("distributions", "1e20", "1.171875e+19"),
+])
+def test_kernel_mass_past_the_bessel_domain_exits_1(tmp_path, capsys, monkeypatch, subcommand, mass, reach):
+    # The longest step of a walk to 0.5078125 on the figure grid, 3 cells,
+    # needs J0 at m * dt past 200 from m = 1707 on: rejected before any work,
+    # in one line naming the mass and the largest one the step allows, with
+    # no numpy warning.  1e15 once printed 0.510838686368.
+    monkeypatch.setattr(cli, "run_scenario", _no_work)
+    monkeypatch.setattr(cli, "distribution_dataset", _no_work)
+    out = tmp_path / "x.csv"
+    time_flag = "--times" if subcommand == "entropy-curve" else "--t-end"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main([subcommand, "--engine", "kernel", "--mass", mass, time_flag, "0.5078125",
+                       "--output", str(out)])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        f"error: mass = {float(mass)} is too large for the kernel engine: its longest step, "
+        f"dt = 0.1171875, needs Bessel arguments up to m * dt = {reach}, past 200.0; the largest "
+        f"mass for this step is 200.0/dt = 1706.6666666666667\n")
+    assert not out.exists()
+
+
+def test_kernel_mass_named_as_the_largest_runs(tmp_path):
+    # The largest mass the rejection above names is itself accepted.
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status = main(["entropy-curve", "--engine", "kernel", "--mass", mass, "--times", "0.5078125",
-                       "--output", str(out)])
-    assert status == 2
-    assert capsys.readouterr().err == ("error: j0 requires finite nonnegative arguments up to 200.0; "
-                                       f"got arguments from 0.0 to {largest}\n")
-    assert not out.exists()
+        assert main(["entropy-curve", "--engine", "kernel", "--mass", "1706.6666666666667",
+                     "--times", "0.5078125", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("engine,later", [("spectral", "0.5"), ("kernel", "0.5078125")])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_decoherence import density, spectral
+from dirac_decoherence import density, kernel_engine, spectral
 from dirac_decoherence.experiments import ScenarioConfig
 from dirac_decoherence.grid import (
     Grid1D,
@@ -21,9 +21,10 @@ from dirac_decoherence.grid import (
     make_gaussian_packet,
     make_plane_wave,
     norm,
+    normalized,
 )
 
-from oracles import mode_vectors_reference
+from oracles import mode_vectors_reference, normalized_reference
 
 
 def test_grid_geometry():
@@ -159,6 +160,59 @@ def test_norm_quadratic_homogeneity(scale):
     f = make_gaussian_packet(g, 0.0, 1.0, (1.0, 0.5j))
     scaled = SpinorField(g, f.values * scale)
     assert norm(scaled) == pytest.approx(scale**2 * norm(f), rel=1e-12)
+
+
+def _raw_gaussian(grid):
+    """The unit Gaussian at the origin times the spinor (1, 1), which
+    make_gaussian_packet scales to (0.5, 0.5) before it normalizes."""
+    return SpinorField(grid, np.outer([0.5, 0.5], np.exp(-(grid.x**2) / 2.0)))
+
+
+def _raw_projection(grid):
+    return spectral.project_energy(make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0)
+
+
+def _raw_kernel_walk(grid):
+    """The unit-mass walk to 13 cells before its renormalization."""
+    out = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
+    for cells, count in kernel_engine.walk(13 * grid.dx, grid):
+        for _ in range(count):
+            out = kernel_engine.evolve_step(out, 1.0, cells * grid.dx)
+    return out
+
+
+@pytest.mark.parametrize("raw,built", [
+    (_raw_gaussian, lambda grid: make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))),
+    (_raw_projection, lambda grid: build_initial(InitialSpec(kind="positive_energy_packet", mass=1.0), grid)),
+    (_raw_kernel_walk, lambda grid: kernel_engine.evolve_to(
+        make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0)), 1.0, 13 * grid.dx)),
+], ids=["gaussian_packet", "positive_energy_packet", "kernel_walk"])
+def test_normalized_is_the_division_by_the_root_norm_bit_for_bit(grid, raw, built):
+    field = raw(grid)
+    expected = normalized_reference(field.values, grid.dx).tobytes()
+    assert normalized(field, "the field").values.tobytes() == expected
+    assert built(grid).values.tobytes() == expected
+
+
+@pytest.mark.parametrize("value,total", [(0.0, "0.0"), (np.inf, "inf"), (np.nan, "nan")])
+def test_normalized_rejects_a_norm_not_finite_and_positive(grid, value, total):
+    values = np.zeros((2, grid.n_points), dtype=complex)
+    values[0, 5] = value
+    message = f"the test field ends with norm {total}, not finite and positive, so it cannot be renormalized"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalized(SpinorField(grid, values), "the test field")
+
+
+def test_normalized_returns_a_fresh_read_only_field(grid, equal_packet):
+    field = SpinorField(grid, 2.0 * equal_packet.values)
+    before = field.values.tobytes()
+    out = normalized(field, "the doubled packet")
+    assert not out.values.flags.writeable
+    assert not np.shares_memory(out.values, field.values)
+    assert field.values.tobytes() == before
+    assert norm(out) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_plane_wave_properties(grid):
