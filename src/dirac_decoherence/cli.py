@@ -17,10 +17,10 @@ subcommand uses; it rejects any other flag or key.  Options may come from a
 override file values.  --dump-config prints the effective configuration in
 the same format.  Exit codes: 0 success; 1 parse or validation failure, which
 includes any value the grid, initial-state or sample-time constructors reject
-(a time whose phase omega * t overflows float64; for the kernel engine, a
-time that is not a whole number of cells, or a mass whose longest step needs
-a Bessel argument m * dt past 200, from 1707 on the figure grid), before any
-evolution; 2 a failure after the run started, such as an output that cannot
+(a time whose phase omega * t overflows float64; for the kernel engine, any
+walk kernel_engine.walk refuses: a time that is not a whole number of cells,
+a first step past L/4, or a mass whose longest step needs a Bessel argument
+m * dt past 200, from 1707 on the figure grid), before any evolution; 2 a failure after the run started, such as an output that cannot
 be written or that is also the path of one of the figure's insets, or a
 kernel walk whose norm is not finite (mass 1000 to t = 11.71875).  A
 request the host has no memory for (say, a sample grid of 1e12 times) prints

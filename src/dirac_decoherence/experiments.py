@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import bessel, density, kernel_engine, spectral
+from . import density, kernel_engine, spectral
 from .grid import Grid1D, InitialSpec, SpinorField, build_initial, chirality_distributions
 
 DEFAULT_GRID = Grid1D(20.0, 1024)
@@ -50,14 +50,7 @@ class ScenarioConfig:
             raise ValueError("times must be nonnegative and strictly increasing")
         if self.engine == "kernel":
             for ti in t:  # each walk is checked before any step
-                runs = kernel_engine.walk(float(ti), self.grid)
-            # The last time's first step is the longest; its taps need J at m * dt.
-            dt = runs[0][0] * self.grid.dx if runs else 0.0
-            if not self.mass * dt <= bessel.LARGEST:
-                raise ValueError(f"mass = {self.mass} is too large for the kernel engine: its "
-                                 f"longest step, dt = {dt}, needs Bessel arguments up to m * dt = "
-                                 f"{self.mass * dt}, past {bessel.LARGEST}; the largest mass for "
-                                 f"this step is {bessel.LARGEST}/dt = {bessel.LARGEST / dt}")
+                kernel_engine.walk(float(ti), self.grid, self.mass)
         # For either engine: the initial field and the t = 0 sample may take the spectral route.
         _check_phases(float(t[-1]), self.grid, self.mass)
         object.__setattr__(self, "field0", build_initial(self.initial, self.grid))

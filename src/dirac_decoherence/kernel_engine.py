@@ -50,6 +50,8 @@ a cone sum within 1e-12 of the direct O(N j) sum on unit-scale random rows
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bessel
@@ -65,13 +67,13 @@ WALK_STEP = 0.1
 
 
 def cone_correlate(psi_hat: np.ndarray, taps_hat: np.ndarray, half_width: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray) -> np.ndarray:
     """The spectrum of out[i] = sum_d taps[d + j] * psi[(i - d) mod N] for d in
     [-j, j], from psi_hat = fft(psi) and taps_hat, a row of the _tap_spectra
-    block: psi_hat * taps_hat by the correlation theorem, written into out if
-    given and into a fresh array if not.  A same-chirality row carries its
-    lightcone delta, so its product is the spectrum of the shift and the cone
-    sum together; evolve_step adds two products per new row and inverts none.
+    block: psi_hat * taps_hat by the correlation theorem, written into out and
+    returned.  A same-chirality row carries its lightcone delta, so its
+    product is the spectrum of the shift and the cone sum together;
+    evolve_step adds two products per new row and inverts none.
 
     Both spectra are only read.  The product does not need half_width; it is
     the cone's j, which sets the N (2j + 1) multiply-adds of the direct sum
@@ -114,26 +116,41 @@ def _smooth_taps(j: int, dx: float, m: float):
     return same, cross
 
 
-def _check_cone(dt: float, grid: Grid1D) -> None:
+def _check_step(dt: float, grid: Grid1D, m: float) -> None:
+    """Reject a step of dt = j * dx whose lightcone would wrap around the
+    periodic domain (dt past L/4), or whose taps need J past bessel.LARGEST:
+    their largest argument is m * tau at tau = dx * j, exactly m * dt.  The
+    largest mass named is the largest float whose m * dt is inside."""
     if dt > grid.half_extent / 4.0:
         raise ValueError(
             f"dt = {dt} exceeds L/4 = {grid.half_extent / 4.0}; the lightcone "
             f"would wrap around the periodic domain"
         )
+    if not m * dt <= bessel.LARGEST:
+        # The float above LARGEST / dt may still round to LARGEST; the one
+        # above that never does.
+        largest = math.nextafter(bessel.LARGEST / dt, math.inf)
+        while not largest * dt <= bessel.LARGEST:
+            largest = math.nextafter(largest, 0.0)
+        raise ValueError(f"mass = {m} is too large for the kernel engine: its longest step, "
+                         f"dt = {dt}, needs Bessel arguments up to m * dt = {m * dt}, past "
+                         f"{bessel.LARGEST}; the largest mass for this step is {largest}")
 
 
-def walk(t: float, grid: Grid1D) -> list[tuple[int, int]]:
-    """The steps evolve_to takes to reach t as (cells, count) runs, longest first:
-    whole steps of round(WALK_STEP (L / 20) / dx) cells, then one of the remainder; no
-    empty run, so none for t = 0.  Rejects, at a cost that does not grow with t,
-    a t that is not a whole number of cells below 2**53, and a first (longest)
-    step whose lightcone would wrap around the periodic domain.
+def walk(t: float, grid: Grid1D, m: float) -> list[tuple[int, int]]:
+    """The steps evolve_to takes to reach t at mass m as (cells, count) runs,
+    longest first: whole steps of round(WALK_STEP (L / 20) / dx) cells, then
+    one of the remainder; no empty run, so none for t = 0.  Rejects, before
+    any work and at a cost that does not grow with t, a mass check_mass
+    rejects, a t that is not a whole number of cells below 2**53, and a first
+    (longest) step that _check_step rejects.
     """
+    check_mass(m)
     per_step = max(int(round(WALK_STEP * (grid.half_extent / 20.0) / grid.dx)), 1)
     whole, rest = divmod(_step_count(t, grid.dx), per_step)
     runs = [(cells, count) for cells, count in ((per_step, whole), (rest, 1)) if cells and count]
     if runs:
-        _check_cone(runs[0][0] * grid.dx, grid)
+        _check_step(runs[0][0] * grid.dx, grid, m)
     return runs
 
 
@@ -144,7 +161,7 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
 
     Row r is fft(h) of its taps laid out cyclically, h[d mod N] = taps[d + j],
     with the lightcone delta, weight 1 at offset -j in row 0 and at +j in
-    row 2, added in; _check_cone caps j at N/8, so no two taps share a cell.
+    row 2, added in; _check_step caps j at N/8, so no two taps share a cell.
     The same-chirality -1 row h- is real and the cross row c purely
     imaginary, so Z = fft(h- + c) carries both: fft(h-) is the part with
     Z(-n) = conj Z(n), (Z(n) + conj Z(-n))/2, and fft(c) = Z - fft(h-).
@@ -183,9 +200,9 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
     is computed once if it was made from values; a field a step made has it.
     At m = 0 the step shifts the rows in position space, signed zeros and all.
 
-    m must be nonnegative and finite.  dt must be a nonnegative integer
-    multiple of the grid spacing and small enough that the lightcone stays
-    well inside the periodic domain.
+    m must pass check_mass.  dt must be a nonnegative integer multiple of the
+    grid spacing that _check_step accepts at m: its lightcone well inside the
+    periodic domain and m * dt inside the Bessel domain.
     spectra, if given, must be _tap_spectra of this step's cells, grid and
     mass; without it the step builds its own.
     """
@@ -194,7 +211,7 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
     j = _step_count(dt, grid.dx)
     if j == 0:
         return field
-    _check_cone(dt, grid)
+    _check_step(j * grid.dx, grid, m)
     n = grid.n_points
     if m == 0:
         # Component alpha translated by alpha*dt, that is np.roll by alpha*j.
@@ -217,19 +234,18 @@ def evolve_step(field: SpinorField, m: float, dt: float, spectra: np.ndarray | N
 
 
 def evolve_to(field: SpinorField, m: float, t: float) -> SpinorField:
-    """Evolve to time t along walk(t, grid), then renormalize; t = 0 returns the field.
+    """Evolve to time t along walk(t, grid, m), then renormalize; t = 0 returns the field.
 
     Each run of equal steps shares one build of its tap spectra (none at
     m = 0), dropped before the next run's.  At m > 0 the walk steps spectra,
-    and only the last field's values are computed, to renormalize.  A step
-    whose m * dt passes 200 is rejected by name by the bessel functions, and
-    a walk whose norm is not finite and positive (its taps overflow over many
-    steps at a large mass) by grid.normalized, naming the walk, each with no
-    numpy warning before it.
+    and only the last field's values are computed, to renormalize.  What walk
+    rejects, a step whose m * dt passes bessel.LARGEST among it, is rejected
+    before any step, and a walk whose norm is not finite and positive (its
+    taps overflow over many steps at a large mass) by grid.normalized, naming
+    the walk, each with no numpy warning before it.
     """
-    check_mass(m)
     grid = field.grid
-    runs = walk(t, grid)
+    runs = walk(t, grid, m)
     if not runs:
         return field
     out = field

@@ -1,8 +1,8 @@
 """The cone correlation, checked against an explicit direct sum over the cone.
 
 cone_correlate takes spectra, the field's fft and the fft of the taps laid out
-cyclically as one row of the kernel engine's tap-spectra block, and returns
-the spectrum of the cone sum; its inverse FFT is checked against the sum.
+cyclically as one row of the kernel engine's tap-spectra block, and writes
+the spectrum of the cone sum into out; its inverse FFT is checked against the sum.
 """
 
 import numpy as np
@@ -27,7 +27,8 @@ def direct_sum(psi, taps, width):
 def spectrum(psi, taps, width):
     """cone_correlate of psi's spectrum and the taps' spectrum, as evolve_step calls it."""
     taps_hat = np.fft.fft(tap_layout_reference(taps, width, len(psi)))
-    return kernel_engine.cone_correlate(np.fft.fft(psi), taps_hat, width)
+    out = np.empty(len(psi), dtype=complex)
+    return kernel_engine.cone_correlate(np.fft.fft(psi), taps_hat, width, out=out)
 
 
 def correlate(psi, taps, width):
@@ -73,8 +74,8 @@ def test_read_only_inputs_unchanged(real_taps):
     psi_hat = np.fft.fft(rng.normal(size=128) + 1j * rng.normal(size=128))
     psi_hat.flags.writeable = False
     psi_hat_copy, block_copy = psi_hat.copy(), block.copy()
-    out = kernel_engine.cone_correlate(psi_hat, taps_hat, 7)
-    assert out.flags.writeable
+    out = np.empty(128, dtype=complex)
+    assert kernel_engine.cone_correlate(psi_hat, taps_hat, 7, out=out) is out
     assert psi_hat.tobytes() == psi_hat_copy.tobytes() and block.tobytes() == block_copy.tobytes()
 
 

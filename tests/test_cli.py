@@ -741,7 +741,7 @@ def test_kernel_mass_past_the_bessel_domain_exits_1(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == (
         f"error: mass = {float(mass)} is too large for the kernel engine: its longest step, "
         f"dt = 0.1171875, needs Bessel arguments up to m * dt = {reach}, past 200.0; the largest "
-        f"mass for this step is 200.0/dt = 1706.6666666666667\n")
+        f"mass for this step is 1706.6666666666667\n")
     assert not out.exists()
 
 
@@ -752,6 +752,21 @@ def test_kernel_mass_named_as_the_largest_runs(tmp_path):
         warnings.simplefilter("error")
         assert main(["entropy-curve", "--engine", "kernel", "--mass", "1706.6666666666667",
                      "--times", "0.5078125", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_kernel_mass_named_on_a_424_point_grid_runs(tmp_path, capsys):
+    # 200/dt is 2120.0 here, but 2120 * dt rounds to 200.00000000000003: the
+    # refusal names the largest mass whose m * dt is inside, and it runs.
+    out = tmp_path / "x.csv"
+    args = ["entropy-curve", "--engine", "kernel", "--grid-n", "424", "--times", "0.09433962264150944",
+            "--output", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--mass", "2120"]) == 1
+        assert capsys.readouterr().err.endswith("; the largest mass for this step is 2119.9999999999995\n")
+        assert not out.exists()
+        assert main([*args, "--mass", "2119.9999999999995"]) == 0
     assert len(out.read_text().splitlines()) == 2
 
 

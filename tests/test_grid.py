@@ -175,7 +175,7 @@ def _raw_projection(grid):
 def _raw_kernel_walk(grid):
     """The unit-mass walk to 13 cells before its renormalization."""
     out = make_gaussian_packet(grid, 0.0, 1.0, (1.0, 1.0))
-    for cells, count in kernel_engine.walk(13 * grid.dx, grid):
+    for cells, count in kernel_engine.walk(13 * grid.dx, grid, 1.0):
         for _ in range(count):
             out = kernel_engine.evolve_step(out, 1.0, cells * grid.dx)
     return out

@@ -1,10 +1,11 @@
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from dirac_decoherence import kernel_engine, spectral
+from dirac_decoherence import bessel, kernel_engine, spectral
 from dirac_decoherence.grid import Grid1D, SpinorField, make_gaussian_packet, norm
 
 from oracles import (
@@ -221,15 +222,61 @@ def test_evolve_to_rejects_a_norm_that_is_not_finite(equal_packet, m, total):
     # The taps overflow at these masses over 100 steps of 3 cells: the walk
     # ends with an infinite or NaN norm, and is rejected by name where it used
     # to be divided out to an all-zero or all-NaN field, with no numpy warning
-    # before it.  At m = 1e20 a step needs J past 200 and is rejected first.
+    # before it.  At m = 1e20 a step needs J past 200 and is rejected first,
+    # by the walk.
     t = 300 * equal_packet.grid.dx
     message = (f"the kernel walk to t = {t} at mass = {m} ends with norm {total}, not finite and "
                f"positive, so it cannot be renormalized")
     if total is None:
-        message = "j0 requires finite nonnegative arguments up to 200.0; got arguments from 0.0 to 1.171875e+19"
+        message = ("mass = 1e+20 is too large for the kernel engine: its longest step, dt = 0.1171875, "
+                   "needs Bessel arguments up to m * dt = 1.171875e+19, past 200.0; the largest mass "
+                   "for this step is 1706.6666666666667")
     with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         warnings.simplefilter("error")
         kernel_engine.evolve_to(equal_packet, m, t)
+
+
+def test_a_mass_past_the_bessel_domain_is_rejected_before_any_bessel_call(equal_packet, monkeypatch):
+    # evolve_to and evolve_step refuse m * dt past 200 by the mass, through
+    # _check_step, before any tap is built: j0 is never called.
+    calls = []
+    j0 = bessel.j0
+
+    def counting_j0(x):
+        calls.append(x)
+        return j0(x)
+
+    monkeypatch.setattr(bessel, "j0", counting_j0)
+    dt = 3 * equal_packet.grid.dx
+    message = re.escape("mass = 1e+20 is too large for the kernel engine: its longest step, dt = 0.1171875")
+    with pytest.raises(ValueError, match=message):
+        kernel_engine.evolve_to(equal_packet, 1e20, 10 * dt)
+    with pytest.raises(ValueError, match=message):
+        kernel_engine.evolve_step(equal_packet, 1e20, dt)
+    assert calls == []
+
+
+# At L = 20 and N = 424, 536, 848 or 952, 200/dt is itself refused; 1024 is
+# the figure grid.  Then 40 seeded even N from 8 to 69998 on each of ten boxes.
+_NAMED_MASS_GRIDS = [Grid1D(20.0, n) for n in (424, 536, 848, 952, 1024)] + [
+    Grid1D(half_extent, int(n))
+    for half_extent in (20.0, 16.0, 12.8, 10.0, 7.3, 33.3, 1.0, 0.2, 100.0, math.pi)
+    for n in 2 * np.random.default_rng(35).integers(4, 35000, size=40)
+]
+
+
+def test_walk_names_the_largest_mass_it_accepts():
+    # Over a spread of grids, the largest mass a walk's refusal names passes
+    # the same walk and the next float up does not.
+    for grid in _NAMED_MASS_GRIDS:
+        # One whole walk step, the longest step of any walk on the grid.
+        t = max(round(kernel_engine.WALK_STEP * (grid.half_extent / 20.0) / grid.dx), 1) * grid.dx
+        with pytest.raises(ValueError, match="too large for the kernel engine") as refused:
+            kernel_engine.walk(t, grid, 1e150)
+        named = float(str(refused.value).rsplit(" ", 1)[1])
+        kernel_engine.walk(t, grid, named)
+        with pytest.raises(ValueError, match=f"the largest mass for this step is {named}$"):
+            kernel_engine.walk(t, grid, math.nextafter(named, math.inf))
 
 
 @pytest.mark.parametrize("n_points,cells", [(1024, 13), (65536, 200)])
@@ -277,7 +324,7 @@ def test_oversized_step_rejected(equal_packet):
     # The walk plan rejects it before any step: its first step, 1 cell of
     # dx = 0.1, is 0.1 > L/4 = 0.05.
     with pytest.raises(ValueError, match="lightcone"):
-        kernel_engine.walk(0.1, Grid1D(0.2, 4))
+        kernel_engine.walk(0.1, Grid1D(0.2, 4), 1.0)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
@@ -326,7 +373,7 @@ def test_evolve_to_walk_steps(equal_packet, monkeypatch):
     monkeypatch.setattr(kernel_engine, "evolve_step", recording_step)
     out = kernel_engine.evolve_to(equal_packet, 1.0, 10 * dx)
     assert cells == [3, 3, 3, 1]
-    assert kernel_engine.walk(10 * dx, equal_packet.grid) == [(3, 3), (1, 1)]
+    assert kernel_engine.walk(10 * dx, equal_packet.grid, 1.0) == [(3, 3), (1, 1)]
     assert abs(norm(out) - 1.0) < 1e-14
 
 
@@ -342,7 +389,7 @@ def test_evolve_to_equals_reference_chain(n_points, cells, m, walked, builds, mo
     # per distinct step length (never at m = 0).
     g = Grid1D(20.0, n_points)
     f = make_gaussian_packet(g, 0.3, 1.2, (1.0, np.exp(0.7j)))
-    assert kernel_engine.walk(cells * g.dx, g) == walked
+    assert kernel_engine.walk(cells * g.dx, g, m) == walked
     values = f.values if m == 0 else np.fft.fft(f.values, axis=1)
     step = kernel_step_position_reference if m == 0 else kernel_step_reference
     for j, count in walked:
@@ -372,7 +419,7 @@ def test_walk_runs_expand_to_the_step_list(n_points):
     p = round(kernel_engine.WALK_STEP / g.dx)
     for c in range(3 * n_points + 1):
         q, r = divmod(c, p)
-        runs = kernel_engine.walk(c * g.dx, g)
+        runs = kernel_engine.walk(c * g.dx, g, 1.0)
         assert [cells for cells, count in runs for _ in range(count)] == [p] * q + ([r] if r else [])
 
 
@@ -380,11 +427,11 @@ def test_walk_checks_any_time_at_once(grid):
     # A million cells is two runs, and so is a time just short of 2**53 cells
     # (dx = 1/32 keeps it exact); 2**53 cells, where every float is whole, is
     # rejected.
-    assert kernel_engine.walk(1e6 * grid.dx, grid) == [(3, 333333), (1, 1)]
+    assert kernel_engine.walk(1e6 * grid.dx, grid, 1.0) == [(3, 333333), (1, 1)]
     g = Grid1D(16.0, 1024)
-    assert kernel_engine.walk((2**53 - 1) * g.dx, g) == [(3, (2**53 - 1) // 3), (1, 1)]
+    assert kernel_engine.walk((2**53 - 1) * g.dx, g, 1.0) == [(3, (2**53 - 1) // 3), (1, 1)]
     with pytest.raises(ValueError, match="is not below 2\\*\\*53 cells"):
-        kernel_engine.walk(2.0**53 * g.dx, g)
+        kernel_engine.walk(2.0**53 * g.dx, g, 1.0)
 
 
 @pytest.mark.parametrize("dt", [np.inf, np.nan])
@@ -394,7 +441,7 @@ def test_non_finite_dt_rejected(equal_packet, dt):
 
 
 def test_evolve_to_zero_returns_field(equal_packet):
-    assert kernel_engine.walk(0.0, equal_packet.grid) == []
+    assert kernel_engine.walk(0.0, equal_packet.grid, 1.0) == []
     assert kernel_engine.evolve_to(equal_packet, 1.0, 0.0) is equal_packet
 
 
