@@ -18,16 +18,33 @@ argument, so equal arguments give equal bits.  kernel_engine._smooth_taps
 passes one array to all its calls, so its chirality mirror stays bitwise.
 The domain ends at 200 because the rule takes about 0.75 x nodes per
 argument; a larger, negative or non-finite argument is rejected by name.
+
+The nodes sin theta_k, the weights and their sum depend on M and the power
+alone, so each (M, power) is computed once and kept read-only: M runs from
+12 to 162 on the domain, at most 302 entries.  A call then makes one outer
+product, its cosines, the weighting (J1 only), one sum and one division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 # The largest argument: the end of the range tested against the 60-digit series.
 LARGEST = 200.0
+
+
+# One entry per (M, power) the domain allows: M from 12 to 162, power 0 or 2.
+@functools.lru_cache(maxsize=302)
+def _nodes(m: int, power: int):
+    """sin theta_k, w_k = cos(theta_k)^power and sum_k w_k over the m nodes,
+    the arrays read-only: every call with this m and power shares them."""
+    theta = np.arange(m) * (np.pi / m)
+    sines, w = np.sin(theta), np.cos(theta) ** power
+    sines.flags.writeable = w.flags.writeable = False
+    return sines, w, w.sum()
 
 
 def _trapezoid(x, name, power):
@@ -39,13 +56,12 @@ def _trapezoid(x, name, power):
     if not (lo >= 0 and hi <= LARGEST):  # also rejects NaN
         raise ValueError(f"{name} requires finite nonnegative arguments up to {LARGEST}; "
                          f"got arguments from {lo!r} to {hi!r}")
-    m = math.ceil(0.75 * max(hi, 0.0)) + 12
-    theta = np.arange(m) * (np.pi / m)
-    w = np.cos(theta) ** power
-    terms = xv[..., None] * np.sin(theta)
+    sines, w, total = _nodes(math.ceil(0.75 * max(hi, 0.0)) + 12, power)
+    terms = xv[..., None] * sines
     np.cos(terms, out=terms)
-    terms *= w
-    out = terms.sum(axis=-1) / w.sum()
+    if power:  # at power 0 every w_k is exactly 1.0
+        terms *= w
+    out = terms.sum(axis=-1) / total
     return float(out[0]) if x.ndim == 0 else out
 
 

@@ -66,10 +66,12 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    times = tuple(float(p) for p in text.split(",") if p.strip())
-    if not times:
+    items = [p.strip() for p in text.split(",")]
+    if not any(items):
         raise ValueError("expected at least one time")
-    return times
+    if not all(items):
+        raise ValueError(f"{text!r} has an empty item")
+    return tuple(map(float, items))
 
 
 def _format(value) -> str:

@@ -212,7 +212,10 @@ def normalized(field: SpinorField, what: str) -> SpinorField:
     if not 0 < total < np.inf:
         raise ValueError(f"{what} ends with norm {total}, not finite and positive, "
                          f"so it cannot be renormalized")
-    values = field.values / np.sqrt(total)
+    # numpy's complex / real multiplies both parts by 1 / the real, as this does
+    # on the float view, but for the sign of a zero.
+    values = np.empty_like(field.values)
+    np.multiply(field.values.view(np.float64), 1.0 / np.sqrt(total), out=values.view(np.float64))
     values.flags.writeable = False  # so the field adopts it without a copy
     return SpinorField(field.grid, values)
 

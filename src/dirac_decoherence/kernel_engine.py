@@ -39,6 +39,12 @@ when evolve_to reads the last field's values to renormalize.  At m = 0 a
 step has no taps and shifts the rows in position space, bit for bit.  Each
 of these transforms is one numpy call over its array's last axis.
 
+A tap build computes per call only what depends on the mass: the Bessel
+values at m tau, three bessel calls on one array, and its one N-point
+transform.  The cone geometry (tau, the edge factors and the trapezoid
+weights) is computed once per (j, dx) by _cone, and the Bessel rule's nodes
+once per node count; both are kept read-only in bounded caches.
+
 Stepping spectra moves the result by roundoff only.  The tests hold one
 step within 2e-15 max|psi| of a step that inverts each row's two cone
 spectra and adds the shifts in position space (N from 1000 to 32768, j from
@@ -50,6 +56,7 @@ a cone sum within 1e-12 of the direct O(N j) sum on unit-scale random rows
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,22 +103,39 @@ def _step_count(dt: float, dx: float) -> int:
     return j
 
 
-def _smooth_taps(j: int, dx: float, m: float):
-    """Trapezoid-weighted taps of the step dt = j*dx over offsets d in [-j, j], times dx.
-
-    The equal-chirality taps are written with J1(x)/x so the lightcone edge
-    tau = 0 takes its finite analytic value.
-    """
+# A walk uses at most two step lengths; this keeps the geometry of a few walks.
+@functools.lru_cache(maxsize=16)
+def _cone(j: int, dx: float):
+    """The mass-free part of a j-cell step's taps, read-only, shared by every
+    call with this j and dx: tau = dx sqrt(j^2 - d^2), the same-chirality edge
+    factors -(dt + alpha d dx) for alpha = -1 and +1, and the trapezoid weights,
+    over offsets d in [-j, j]."""
     dt = j * dx
     d = np.arange(-j, j + 1)
     sep = d * dx
     tau = dx * np.sqrt(np.maximum(j * j - d * d, 0).astype(np.float64))
     weights = np.ones(2 * j + 1)
     weights[0] = weights[-1] = 0.5
-    cross = 1j * (m / 2.0) * bessel.j0(m * tau) * weights * dx
+    edges = {alpha: -(dt + alpha * sep) for alpha in (-1, 1)}
+    for array in (tau, weights, *edges.values()):
+        array.flags.writeable = False
+    return tau, edges, weights
+
+
+def _smooth_taps(j: int, dx: float, m: float):
+    """Trapezoid-weighted taps of the step dt = j*dx over offsets d in [-j, j], times dx,
+    in fresh arrays: _cone's geometry times the Bessel values at m tau.
+
+    The equal-chirality taps are written with J1(x)/x so the lightcone edge
+    tau = 0 takes its finite analytic value.  All three Bessel calls take the
+    one array m tau, so chirality +1 mirrors -1 bit for bit (bessel).
+    """
+    tau, edges, weights = _cone(j, dx)
+    x = m * tau
+    cross = 1j * (m / 2.0) * bessel.j0(x) * weights * dx
     same = {
-        alpha: -(dt + alpha * sep) * (m * m / 2.0) * bessel.j1_over_x(m * tau) * weights * dx
-        for alpha in (-1, 1)
+        alpha: edge * (m * m / 2.0) * bessel.j1_over_x(x) * weights * dx
+        for alpha, edge in edges.items()
     }
     return same, cross
 
@@ -166,15 +190,18 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     imaginary, so Z = fft(h- + c) carries both: fft(h-) is the part with
     Z(-n) = conj Z(n), (Z(n) + conj Z(-n))/2, and fft(c) = Z - fft(h-).
     The chirality +1 taps and delta are those of -1 mirrored, d to -d, bit
-    for bit, so row 2 is row 0 at index -n mod N.
+    for bit, so row 2 is row 0 at index -n mod N.  The block starts empty:
+    the middle row's cells between the taps are zeroed, and the unpack
+    writes rows 0 and 2 in full.
     """
     same, cross = _smooth_taps(j, grid.dx, m)
     n = grid.n_points
-    block = np.zeros((3, n), dtype=np.complex128)
+    block = np.empty((3, n), dtype=np.complex128)
     same_minus, cross_hat, same_plus = block
     # z = h- + c goes in the middle row and is transformed to Z in place;
-    # the outer rows are scratch until the unpack fills them.
+    # the outer rows are scratch until the unpack writes all of them.
     np.add(same[-1][j:], cross[j:], out=cross_hat[:j + 1])
+    cross_hat[j + 1:n - j] = 0
     np.add(same[-1][:j], cross[:j], out=cross_hat[n - j:])
     cross_hat[n - j] += 1.0
     np.fft.fft(cross_hat, out=cross_hat)
@@ -182,7 +209,9 @@ def _tap_spectra(j: int, grid: Grid1D, m: float) -> np.ndarray:
     np.conjugate(cross_hat[:1], out=same_plus[:1])
     np.conjugate(cross_hat[:0:-1], out=same_plus[1:])
     np.add(cross_hat, same_plus, out=same_minus)
-    same_minus /= 2
+    # Halved as numpy's complex / 2 does, by 0.5 on each part, but for the sign of a zero.
+    half = same_minus.view(np.float64)
+    np.multiply(half, 0.5, out=half)
     cross_hat -= same_minus
     # Row 2 is row 0 at index -n mod N.
     same_plus[0] = same_minus[0]

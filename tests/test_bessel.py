@@ -91,11 +91,33 @@ def _bit_identity_cases():
 
 
 def test_bitwise_equal_to_trapezoid_reference():
-    # The in-place cosine and weighting give the written-out rule's bits.
-    for x in _bit_identity_cases():
-        expected = _trapezoid_reference(x)
-        for fn, ref in zip((bessel.j0, bessel.j1, bessel.j1_over_x), expected):
-            assert fn(x).tobytes() == ref.tobytes(), (fn.__name__, x)
+    # The in-place cosine and weighting give the written-out rule's bits,
+    # whatever the order of calls: forward from an empty node cache each
+    # (M, power) is first a miss, and reversed every call is a hit.
+    bessel._nodes.cache_clear()
+    cases = _bit_identity_cases()
+    for order in (cases, cases[::-1]):
+        misses = bessel._nodes.cache_info().misses
+        for x in order:
+            expected = _trapezoid_reference(x)
+            for fn, ref in zip((bessel.j0, bessel.j1, bessel.j1_over_x), expected):
+                assert fn(x).tobytes() == ref.tobytes(), (fn.__name__, x)
+    assert bessel._nodes.cache_info().misses == misses  # none in the reversed pass
+
+
+def test_node_cache_holds_the_whole_domain_read_only():
+    # One entry per (M, power) the domain allows, and no entry can be changed.
+    bessel._nodes.cache_clear()
+    for hi in range(0, 201):
+        bessel.j0(np.array([0.0, float(hi)]))
+        bessel.j1_over_x(np.array([float(hi)]))
+    info = bessel._nodes.cache_info()
+    assert info.currsize == info.maxsize == 2 * len(range(12, 163)) == info.misses
+    for m, power in ((12, 0), (162, 2)):
+        sines, w, _ = bessel._nodes(m, power)
+        for array in (sines, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def test_scalar_and_empty_arguments():

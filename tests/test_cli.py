@@ -871,11 +871,13 @@ def test_non_finite_value_exits_1_and_writes_nothing(tmp_path, capsys, args, key
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", [["--times", ","], ["--times", ""], ["--times="], "config"],
-                         ids=["comma", "empty", "equals", "config"])
+@pytest.mark.parametrize("source", [["--times", ","], ["--times", ""], ["--times="], "times = \n",
+                                    ["--times", "1,,2"], ["--times", "1,2,"], "times = 0.5,,1\n"],
+                         ids=["comma", "empty", "equals", "config", "inner", "trailing", "config-inner"])
 def test_empty_time_list_rejected(tmp_path, capsys, source):
-    if source == "config":
-        (tmp_path / "run.cfg").write_text("times = \n")
+    # No time at all, or an empty item among times: nothing is dropped unseen.
+    if isinstance(source, str):  # the text of a config file
+        (tmp_path / "run.cfg").write_text(source)
         source = ["--config", str(tmp_path / "run.cfg")]
     out = tmp_path / "x.csv"
     assert main(["entropy-curve", "--t-end", "0.02", *source, "--output", str(out)]) == 1

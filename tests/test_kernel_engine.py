@@ -172,6 +172,28 @@ def test_smooth_taps_chirality_plus_is_the_minus_taps_reversed(j, dx, m):
     assert same[1].tobytes() == same[-1][::-1].tobytes()
 
 
+def test_cone_geometry_is_read_only_and_its_cache_bounded():
+    tau, edges, weights = kernel_engine._cone(3, 0.025)
+    for array in (tau, edges[-1], edges[1], weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    for j in range(1, 40):
+        kernel_engine._cone(j, 0.025)
+    info = kernel_engine._cone.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
+
+
+def test_smooth_taps_are_fresh_on_every_call():
+    # Writing into one call's taps leaves the cached geometry, and so the
+    # next call's taps, as they were.
+    first = kernel_engine._smooth_taps(3, 0.025, 1.3)
+    before = [taps.tobytes() for taps in (first[0][-1], first[0][1], first[1])]
+    for taps in (first[0][-1], first[0][1], first[1]):
+        taps[:] = 7.0
+    again = kernel_engine._smooth_taps(3, 0.025, 1.3)
+    assert [taps.tobytes() for taps in (again[0][-1], again[0][1], again[1])] == before
+
+
 @pytest.mark.parametrize("n_points,cells", [(1024, 10), (16384, 100), (32768, 100), (65536, 400)],
                          ids=["n1024", "n16384", "n32768", "n65536"])
 def test_numpy_transform_calls_per_step(n_points, cells, fft_calls):
